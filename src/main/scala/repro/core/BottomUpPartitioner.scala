@@ -15,8 +15,9 @@ import scala.collection.mutable
   * lives in descendants of its origin), so they are finalized: chunked in
   * decreasing run-count order, starting a fresh chunk per finalization
   * step so that highly-shared records are not split across chunks. Partial
-  * chunks left over by those steps are merged at the very end (first-fit
-  * decreasing) to curb fragmentation.
+  * chunks left over by those steps are merged at the very end, neighbours
+  * in creation order (`ChunkBuilder.mergePartialsAndResult`), to curb
+  * fragmentation.
   *
   * The β knob (§3.2.1) bounds the number of distinct run-count sets a
   * version may return, merging the smallest sets into their neighbour with
@@ -137,8 +138,4 @@ final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
     }
     cb.mergePartialsAndResult(partials.toSeq)
   }
-}
-
-object BottomUpPartitioner {
-  val default: Partitioner = new BottomUpPartitioner()
 }

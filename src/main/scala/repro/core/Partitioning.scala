@@ -80,7 +80,6 @@ final class ChunkBuilder(capacity: Long, numItems: Int) {
   }
 
   def numChunks: Int = bytes.length
-  def chunkBytesSoFar: IndexedSeq[Long] = bytes.toIndexedSeq
 
   /** Bytes in the currently open chunk (0 if none). */
   def openBytes: Long = if (cur == -1) 0L else bytes(cur)
@@ -139,19 +138,25 @@ trait Partitioner {
   * distinct chunks holding at least one member item of a version.
   */
 object Span {
-  def perVersion(members: Array[Array[Int]], a: Assignment): Array[Int] = {
-    val stamp = Array.fill(a.numChunks)(-1)
-    members.zipWithIndex.map { case (items, v) =>
-      var span = 0
-      var i = 0
-      while (i < items.length) {
-        val c = a.itemChunk(items(i))
-        if (stamp(c) != v) { stamp(c) = v; span += 1 }
-        i += 1
-      }
-      span
+
+  /** The sorted distinct image of `ids` under `f`. With a version's member
+    * items and an item→chunk map, the chunks the version spans; with a
+    * record→sub-chunk map, the sub-chunks it touches.
+    */
+  def image(ids: Array[Int], f: Array[Int]): Array[Int] = {
+    val out = ids.map(f)
+    java.util.Arrays.sort(out)
+    var n = 0
+    var i = 0
+    while (i < out.length) {
+      if (n == 0 || out(i) != out(n - 1)) { out(n) = out(i); n += 1 }
+      i += 1
     }
+    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
   }
+
+  def perVersion(members: Array[Array[Int]], a: Assignment): Array[Int] =
+    members.map(image(_, a.itemChunk).length)
 
   def total(members: Array[Array[Int]], a: Assignment): Long =
     perVersion(members, a).map(_.toLong).sum

@@ -10,21 +10,18 @@ import org.apache.spark.sql.functions._
   * places items with similar version sets next to each other, and the
   * sorted order is fed to the sequential chunk filler.
   *
-  * The shingle computation and sort are expressed as a Spark DataFrame job
-  * (groupBy + min-aggregates + orderBy) over the (item, version) membership
-  * relation — this is the one partitioner that is embarrassingly parallel
-  * and needs no version-tree structure. A driver-side reference
-  * implementation (same hash family) backs the unit tests.
+  * `partition` computes and sorts the shingles on the driver (`driverOrder`):
+  * at the scales run here that is more than an order of magnitude faster
+  * than shipping the (item, version) relation to Spark. `sparkOrder`
+  * expresses the same computation as a Spark DataFrame job (groupBy +
+  * min-aggregates + orderBy, same hash family); it is kept only as an
+  * independent cross-check that the tests compare against the driver order.
   */
 final class ShinglePartitioner(spark: SparkSession, numShingles: Int = 4, seed: Long = 0x5417L)
     extends Partitioner {
   override val name: String = "Shingle"
 
-  /** min-hash h_i over a version set, shared by driver and executors. */
-  private def minHash(versions: Iterable[Int], i: Int): Long =
-    versions.iterator.map(v => Hash64(v.toLong, seed + i)).min
-
-  /** Items in shingle sort-order, computed with Spark. */
+  /** Items in shingle sort-order, computed with Spark (test cross-check). */
   def sparkOrder(in: PartitionInput): Array[Int] = {
     import spark.implicits._
     val rows: Seq[(Int, Int)] = (for {
@@ -44,12 +41,14 @@ final class ShinglePartitioner(spark: SparkSession, numShingles: Int = 4, seed: 
       .collect()
   }
 
-  /** Driver-side reference order (tests cross-check it against Spark). */
+  /** Items in shingle sort-order, computed on the driver. */
   def driverOrder(in: PartitionInput): Array[Int] = {
-    val versionsOf = Array.fill(in.numItems)(List.empty[Int])
-    for (v <- in.members.indices; item <- in.members(v)) versionsOf(item) ::= v
-    val shingles: Array[Array[Long]] =
-      Array.tabulate(in.numItems)(it => Array.tabulate(numShingles)(i => minHash(versionsOf(it), i)))
+    // shingles(item)(i) = min-hash h_i over the versions holding the item
+    val shingles = Array.fill(in.numItems, numShingles)(Long.MaxValue)
+    for (v <- in.members.indices; i <- 0 until numShingles) {
+      val h = Hash64(v.toLong, seed + i)
+      in.members(v).foreach(item => if (h < shingles(item)(i)) shingles(item)(i) = h)
+    }
     val lex = new Ordering[Int] {
       def compare(a: Int, b: Int): Int = {
         var i = 0
@@ -65,7 +64,7 @@ final class ShinglePartitioner(spark: SparkSession, numShingles: Int = 4, seed: 
   }
 
   override def partition(in: PartitionInput, capacity: Long): Assignment = {
-    val order = sparkOrder(in)
+    val order = driverOrder(in)
     val cb = new ChunkBuilder(capacity, in.numItems)
     order.foreach(item => cb.add(item, in.itemSizes(item)))
     cb.result()

@@ -76,14 +76,9 @@ object SubChunker {
     }
 
     require(recordSc.forall(_ >= 0), "record left without a sub-chunk")
-    val numSc = reps.length
 
     // per original version: distinct sub-chunks touched
-    val scMembersOrig: Array[Array[Int]] = ds.membersItems.map { items =>
-      val scs = items.map(recordSc)
-      java.util.Arrays.sort(scs)
-      dedupSorted(scs)
-    }
+    val scMembersOrig: Array[Array[Int]] = ds.membersItems.map(Span.image(_, recordSc))
 
     // transformed tree: drop versions whose sub-chunk set equals the
     // parent's (Fig 7's duplicate deletion); reattach to the nearest kept
@@ -116,17 +111,6 @@ object SubChunker {
       input = PartitionInput(new VersionTree(tParent), tMembers, sizes.toArray),
       rawBytes = ds.itemSizes.sum,
     )
-  }
-
-  private def dedupSorted(a: Array[Int]): Array[Int] = {
-    if (a.isEmpty) a
-    else {
-      val out = Array.newBuilder[Int]
-      out += a(0)
-      var i = 1
-      while (i < a.length) { if (a(i) != a(i - 1)) out += a(i); i += 1 }
-      out.result()
-    }
   }
 
   /** Group the records of one key (items `lo until hi`) into connected

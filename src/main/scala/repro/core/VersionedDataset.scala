@@ -170,15 +170,6 @@ final class VersionedDataset(
     rows.toSeq.toDF("version", "key", "origin")
   }
 
-  /** `(key, origin, size)` — one row per distinct record. */
-  def recordsDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    uniqueCks.iterator
-      .map(ck => (Ck.key(ck), Ck.version(ck), RecordModel.size(ck, spec)))
-      .toSeq
-      .toDF("key", "origin", "size")
-  }
-
   /** `(key, origin, payload)` — with materialized JSON; small datasets only. */
   def payloadsDF(spark: SparkSession): DataFrame = {
     import spark.implicits._

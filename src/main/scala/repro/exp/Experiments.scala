@@ -329,18 +329,22 @@ object Experiments {
   def onlineQuality(spec: DatasetSpec, batchSizes: Seq[Int], checkpoints: Seq[Int],
                     capacity: Long = DefaultCapacity): Seq[OnlineRow] = {
     val ds = dataset(spec)
-    val offline = checkpoints.map { n =>
-      val pre = ds.prefix(n)
-      val in = PartitionInput(pre.tree, pre.membersItems, pre.itemSizes)
+    val prefixes = checkpoints.map(n => n -> ds.prefix(n)).toMap
+    // offline packs records by the same stored (k = 1 sub-chunk) sizes as online
+    val offline = prefixes.map { case (n, pre) =>
+      val sizes = pre.uniqueCks.map(RecordModel.subChunkCompressedSize(_, Nil, spec))
+      val in = PartitionInput(pre.tree, pre.membersItems, sizes)
       n -> Span.total(in.members, new BottomUpPartitioner().partition(in, capacity))
-    }.toMap
+    }
     for {
       b <- batchSizes
       n <- checkpoints
       if n >= b
     } yield {
-      val online = new OnlinePartitioner(ds, capacity, b).run(n)
-      OnlineRow(spec.name, b, n, online.totalSpan(n).toDouble / offline(n))
+      val st = new OnlinePartitioner(ds, capacity, b).run(n)
+      val pre = prefixes(n)
+      val online = Span.total(pre.membersItems, Assignment(pre.uniqueCks.map(st.ckChunk), st.numChunks))
+      OnlineRow(spec.name, b, n, online.toDouble / offline(n))
     }
   }
 }

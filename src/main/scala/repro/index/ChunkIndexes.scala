@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.core.{Assignment, Ck, SubChunking, VersionedDataset}
+import repro.core.{Assignment, Ck, Span, SubChunking, VersionedDataset}
 
 import scala.collection.mutable
 
@@ -31,37 +31,18 @@ object ChunkIndexes {
     * sub-chunk→chunk assignment.
     */
   def build(ds: VersionedDataset, sc: SubChunking, a: Assignment): ChunkIndexes = {
-    val versionToChunks = sc.scMembersOrig.map { scs =>
-      val cs = scs.map(a.itemChunk)
-      java.util.Arrays.sort(cs)
-      dedup(cs)
-    }
+    val versionToChunks = sc.scMembersOrig.map(Span.image(_, a.itemChunk))
     val keyToChunks = mutable.LongMap.empty[Array[Int]]
-    // uniqueCks is sorted by key: walk ranges and collect their chunks
+    // uniqueCks is sorted by key: each key's records are one range of ids
     val cks = ds.uniqueCks
     var lo = 0
     while (lo < cks.length) {
       val key = Ck.key(cks(lo))
       var hi = lo
-      val cs = mutable.SortedSet.empty[Int]
-      while (hi < cks.length && Ck.key(cks(hi)) == key) {
-        cs += a.itemChunk(sc.recordSc(hi))
-        hi += 1
-      }
-      keyToChunks(key) = cs.toArray
+      while (hi < cks.length && Ck.key(cks(hi)) == key) hi += 1
+      keyToChunks(key) = Span.image(sc.recordSc.slice(lo, hi), a.itemChunk)
       lo = hi
     }
     ChunkIndexes(versionToChunks, keyToChunks, a.chunkBytes(sc.scSizes))
-  }
-
-  private def dedup(sorted: Array[Int]): Array[Int] = {
-    if (sorted.isEmpty) sorted
-    else {
-      val out = Array.newBuilder[Int]
-      out += sorted(0)
-      var i = 1
-      while (i < sorted.length) { if (sorted(i) != sorted(i - 1)) out += sorted(i); i += 1 }
-      out.result()
-    }
   }
 }

@@ -1,6 +1,7 @@
 package repro.online
 
 import repro.core._
+import repro.data.RecordModel
 
 import scala.collection.mutable
 
@@ -18,27 +19,18 @@ import scala.collection.mutable
   * whose parent predates the batch hang off a synthetic empty root, and
   * each version's membership is restricted to batch-originated records —
   * so BOTTOM-UP orders the new records by how long they survive *within
-  * the batch*, which is all the information available online.
+  * the batch*, which is all the information available online. Records are
+  * packed by the bytes the layout stores for them: each is a k = 1
+  * sub-chunk, so its size includes the sub-chunk framing.
   */
 final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: Int) {
   require(batchSize >= 1)
 
-  /** State after ingesting a number of versions. */
-  final case class State(ckChunk: mutable.LongMap[Int], numChunks: Int) {
-    /** Per-version span over the first `n` versions. */
-    def totalSpan(n: Int): Long = {
-      var total = 0L
-      val seen = mutable.HashSet.empty[Int]
-      var v = 0
-      while (v < n) {
-        seen.clear()
-        ds.members(v).foreach(ck => seen += ckChunk(ck))
-        total += seen.size
-        v += 1
-      }
-      total
-    }
-  }
+  /** State after ingesting a number of versions. Spans are evaluated with
+    * `Span.total` over the matching `ds.prefix(n)`, whose items map to chunks
+    * as `Assignment(prefix.uniqueCks.map(ckChunk), numChunks)`.
+    */
+  final case class State(ckChunk: mutable.LongMap[Int], numChunks: Int)
 
   /** Ingest versions `0 until upTo` in batches and return the placement. */
   def run(upTo: Int): State = {
@@ -92,7 +84,7 @@ final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: I
         .map(localItem)
       v += 1
     }
-    val sizes = newCks.map(ck => repro.data.RecordModel.size(ck, ds.spec))
+    val sizes = newCks.map(ck => RecordModel.subChunkCompressedSize(ck, Nil, ds.spec))
     val in = PartitionInput(new VersionTree(parent), members, sizes)
     val a = new BottomUpPartitioner().partition(in, capacity)
     val out = mutable.LongMap.empty[Int]

@@ -9,9 +9,19 @@ class ShingleSpec extends SparkSpec {
     DatasetSpec.tiny("shingle", 25, 80, skewed = false, 3, seed = 71))
   private lazy val in = PartitionInput(ds.tree, ds.membersItems, ds.itemSizes)
 
+  /** The shape `partition` serves in production: the k = 10 sub-chunk input
+    * (transformed tree) of a branched, skewed dataset.
+    */
+  private lazy val subChunkIn = {
+    val bds = VersionedDataGen.generate(
+      DatasetSpec("shingle-branched", 100, 400, 0.05, skewed = true, numBranches = 9, seed = 73))
+    SubChunker.build(bds, 10).input
+  }
+
   test("spark order equals the driver reference order") {
     val p = new ShinglePartitioner(spark)
     assert(p.sparkOrder(in).toSeq == p.driverOrder(in).toSeq)
+    assert(p.sparkOrder(subChunkIn).toSeq == p.driverOrder(subChunkIn).toSeq)
   }
 
   test("order is a permutation of all items") {
