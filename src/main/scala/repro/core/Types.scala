@@ -19,11 +19,13 @@ object Ck {
   /** Exclusive upper bound on version ids. */
   val MaxVersions: Int = 1 << VersionBits
   private val VersionMask: Long = (1L << VersionBits) - 1
+  /** Exclusive upper bound on primary keys. */
+  val KeyLimit: Long = 1L << (63 - VersionBits)
 
   /** Pack a (primary key, origin version) pair into a composite key. */
   def pack(key: Long, version: Int): Long = {
     require(version >= 0 && version < MaxVersions, s"version $version out of range")
-    require(key >= 0 && key < (1L << (63 - VersionBits)), s"key $key out of range")
+    require(key >= 0 && key < KeyLimit, s"key $key out of range")
     (key << VersionBits) | version.toLong
   }
 
@@ -32,6 +34,14 @@ object Ck {
 
   /** Origin-version component of a packed composite key. */
   def version(ck: Long): Int = (ck & VersionMask).toInt
+
+  /** Index of the first composite key in the sorted `cks` whose primary key
+    * is ≥ `key` (`cks.length` if none). Any `key` is accepted.
+    */
+  def lowerBound(cks: Array[Long], key: Long): Int =
+    if (key <= 0) 0
+    else if (key >= KeyLimit) cks.length
+    else { val i = java.util.Arrays.binarySearch(cks, pack(key, 0)); if (i < 0) -i - 1 else i }
 
   /** Human-readable `⟨K,V⟩` form, used in error messages and tests. */
   def show(ck: Long): String = s"<K${key(ck)},V${version(ck)}>"

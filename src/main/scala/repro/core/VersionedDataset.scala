@@ -74,32 +74,32 @@ final class VersionedDataset(
     * cks sort primarily by key.
     */
   def recordsOfKey(key: Long): Array[Long] = {
-    val lo = Ck.pack(key, 0)
-    var i = java.util.Arrays.binarySearch(uniqueCks, lo)
-    if (i < 0) i = -i - 1
+    var i = Ck.lowerBound(uniqueCks, key)
     val out = Array.newBuilder[Long]
     while (i < uniqueCks.length && Ck.key(uniqueCks(i)) == key) { out += uniqueCks(i); i += 1 }
     out.result()
   }
 
-  /** Origin version of the record for `key` live in version `v` — the
-    * version-to-record lookup of Example 2. Requires the key to be live.
+  /** The record for `key` live in version `v` (the version-to-record
+    * lookup of Example 2), or -1 if the key is not live there.
+    */
+  def liveCk(v: Int, key: Long): Long = {
+    val m = members(v)
+    val i = Ck.lowerBound(m, key)
+    if (i < m.length && Ck.key(m(i)) == key) m(i) else -1L
+  }
+
+  /** Origin version of the record for `key` live in version `v`. Requires
+    * the key to be live.
     */
   def originOf(v: Int, key: Long): Int = {
-    val m = members(v)
-    var i = java.util.Arrays.binarySearch(m, Ck.pack(key, 0))
-    if (i < 0) i = -i - 1
-    require(i < m.length && Ck.key(m(i)) == key, s"key $key not live in version $v")
-    Ck.version(m(i))
+    val ck = liveCk(v, key)
+    require(ck >= 0, s"key $key not live in version $v")
+    Ck.version(ck)
   }
 
   /** Whether `key` is live in version `v`. */
-  def isLive(v: Int, key: Long): Boolean = {
-    val m = members(v)
-    var i = java.util.Arrays.binarySearch(m, Ck.pack(key, 0))
-    if (i < 0) i = -i - 1
-    i < m.length && Ck.key(m(i)) == key
-  }
+  def isLive(v: Int, key: Long): Boolean = liveCk(v, key) >= 0
 
   /** Number of versions each item belongs to (the item's "version count"). */
   lazy val itemVersionCounts: Array[Int] = {

@@ -38,44 +38,40 @@ final class QueryProcessor(
   }
 
   /** Q2 — range retrieval: records of `v` with key in `[loKey, hiKey]`.
-    * Index-ANDs the two projections (§2.4); lossiness can fetch chunks
-    * that turn out to hold no qualifying record.
+    * Index-ANDs the two projections (§2.4) by probing each of the
+    * version's chunks: a chunk is fetched if its key ranks meet the rank
+    * interval of `[loKey, hiKey]`, one binary search per chunk. Lossiness
+    * can fetch chunks that turn out to hold no qualifying record of `v`.
     */
   def range(v: Int, loKey: Long, hiKey: Long): (Array[Long], RetrievalCost) = {
-    val vChunks = indexes.versionToChunks(v)
-    val kChunks = scala.collection.mutable.SortedSet.empty[Int]
-    var key = loKey
-    while (key <= hiKey) { // keys are dense in our generator
-      indexes.keyToChunks.get(key).foreach(_.foreach(kChunks += _))
-      key += 1
-    }
-    val hit = vChunks.filter(kChunks.contains)
+    val rlo = indexes.rankFrom(loKey)
+    val rhi = indexes.rankAfter(hiKey)
+    val hit = indexes.versionToChunks(v).filter(indexes.chunkHoldsRankIn(_, rlo, rhi))
     val cost = fetch(hit.toSeq)
-    val result = ds.members(v).filter(ck => { val k = Ck.key(ck); k >= loKey && k <= hiKey })
-    (result, cost)
+    val m = ds.members(v)
+    val from = Ck.lowerBound(m, loKey)
+    val until = if (hiKey == Long.MaxValue) m.length else Ck.lowerBound(m, hiKey + 1)
+    (java.util.Arrays.copyOfRange(m, from, math.max(from, until)), cost)
   }
 
   /** Q3 — record evolution: all records ever stored for `key`. */
   def evolution(key: Long): (Array[Long], RetrievalCost) = {
-    val chunks = indexes.keyToChunks.getOrElse(key, Array.emptyIntArray)
-    val cost = fetch(chunks.toSeq)
+    val cost = fetch(indexes.keyToChunks(key).toSeq)
     (ds.recordsOfKey(key), cost)
   }
 
   /** Point query — the record for `key` in version `v`. */
   def point(v: Int, key: Long): (Option[Long], RetrievalCost) = {
-    if (!ds.isLive(v, key)) return (None, RetrievalCost(0, 0))
-    val vChunks = indexes.versionToChunks(v)
-    val kChunks = indexes.keyToChunks.getOrElse(key, Array.emptyIntArray)
-    val hit = vChunks.filter(c => java.util.Arrays.binarySearch(kChunks, c) >= 0)
-    val cost = fetch(hit.toSeq)
-    (Some(Ck.pack(key, ds.originOf(v, key))), cost)
+    val ck = ds.liveCk(v, key)
+    if (ck < 0) return (None, RetrievalCost(0, 0))
+    val kChunks = indexes.keyToChunks(key)
+    val hit = indexes.versionToChunks(v).filter(c => java.util.Arrays.binarySearch(kChunks, c) >= 0)
+    (Some(ck), fetch(hit.toSeq))
   }
 
   /** Span of a version under this layout (chunks to fetch for Q1). */
   def versionSpan(v: Int): Int = indexes.versionToChunks(v).length
 
   /** Span of a key (chunks to fetch for Q3). */
-  def keySpan(key: Long): Int =
-    indexes.keyToChunks.getOrElse(key, Array.emptyIntArray).length
+  def keySpan(key: Long): Int = indexes.keyToChunks(key).length
 }

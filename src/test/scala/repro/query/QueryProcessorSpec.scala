@@ -24,6 +24,16 @@ class QueryProcessorSpec extends SparkSpec {
     qp
   }
 
+  /** Chunks holding a record of `key`, from the assignment, not the index. */
+  private def chunksOfKey(qp: QueryProcessor, key: Long): Set[Int] =
+    ds.recordsOfKey(key).map(ck => qp.assignment.itemChunk(qp.sc.recordSc(ds.itemOf(ck)))).toSet
+
+  /** |versionToChunks(v) ∩ ⋃_{key ∈ [lo, hi]} chunks(key)|, key by key. */
+  private def andSetSize(qp: QueryProcessor, v: Int, lo: Long, hi: Long): Int = {
+    val keyChunks = (lo to hi).flatMap(chunksOfKey(qp, _)).toSet
+    qp.indexes.versionToChunks(v).count(keyChunks)
+  }
+
   for (algoIdx <- 0 until 3; k <- Seq(1, 3)) {
     test(s"algo #$algoIdx k=$k: Q1 returns the exact version membership") {
       val qp = processor(algos(algoIdx), k)
@@ -50,6 +60,30 @@ class QueryProcessorSpec extends SparkSpec {
       }
     }
 
+    test(s"algo #$algoIdx k=$k: Q2 fetches exactly the AND of the two projections") {
+      val qp = processor(algos(algoIdx), k)
+      val maxKey = ds.uniqueCks.map(Ck.key).max
+      val rnd = new Random(8)
+      val ranges = (0 until 40).flatMap { _ =>
+        val v = rnd.nextInt(ds.tree.size)
+        val m = ds.members(v)
+        val key = Ck.key(m(rnd.nextInt(m.length)))
+        val dead = (0L to maxKey).filterNot(ds.isLive(v, _))
+        Seq(
+          (v, key, key),                             // single live key
+          (v, key, key + rnd.nextInt(30)),           // random width
+          (v, maxKey - 3, maxKey + 20),              // past the last key
+          (v, maxKey + 1, maxKey + 10),              // beyond every key
+        ) ++ dead.headOption.map(d => (v, d, d))     // no live key of v
+      }
+      assert(ranges.exists { case (v, lo, hi) => lo <= maxKey && !(lo to hi).exists(ds.isLive(v, _)) })
+      ranges.foreach { case (v, lo, hi) =>
+        val (records, cost) = qp.range(v, lo, hi)
+        assert(records.toSeq == ds.members(v).filter(ck => Ck.key(ck) >= lo && Ck.key(ck) <= hi).toSeq)
+        assert(cost.queries == andSetSize(qp, v, lo, hi), s"v=$v [$lo, $hi]")
+      }
+    }
+
     test(s"algo #$algoIdx k=$k: Q3 returns every record of the key") {
       val qp = processor(algos(algoIdx), k)
       val rnd = new Random(6)
@@ -71,7 +105,7 @@ class QueryProcessorSpec extends SparkSpec {
         val (res, cost) = qp.point(v, Ck.key(ck))
         assert(res.contains(ck))
         assert(cost.queries >= 1)
-        assert(cost.queries <= qp.versionSpan(v))
+        assert(cost.queries == andSetSize(qp, v, Ck.key(ck), Ck.key(ck)))
       }
     }
 
@@ -84,6 +118,29 @@ class QueryProcessorSpec extends SparkSpec {
       assume(dead.isDefined)
       val (res, cost) = qp.point(dead.get._1, dead.get._2)
       assert(res.isEmpty && cost.queries == 0)
+    }
+  }
+
+  test("Q2 edge ranges: lo > hi, negative lo, hi at or past the largest key") {
+    val qp = processor(new BottomUpPartitioner(), 1)
+    val maxKey = ds.uniqueCks.map(Ck.key).max
+    (0 until ds.tree.size by 5).foreach { v =>
+      val m = ds.members(v)
+      val (inverted, invCost) = qp.range(v, 10, 5)
+      assert(inverted.isEmpty && invCost == RetrievalCost(0, 0))
+      val (neg, negCost) = qp.range(v, -7, 12)
+      val (zero, zeroCost) = qp.range(v, 0, 12)
+      assert(neg.toSeq == zero.toSeq && negCost == zeroCost)
+      assert(neg.toSeq == m.filter(Ck.key(_) <= 12).toSeq)
+      val lo = maxKey / 2
+      val (upTo, upToCost) = qp.range(v, lo, maxKey)
+      for (hi <- Seq(Ck.KeyLimit - 1, Ck.KeyLimit, Long.MaxValue)) {
+        val (open, openCost) = qp.range(v, lo, hi)
+        assert(open.toSeq == upTo.toSeq && openCost == upToCost, s"hi=$hi")
+      }
+      assert(upTo.toSeq == m.filter(Ck.key(_) >= lo).toSeq)
+      val (all, allCost) = qp.range(v, Long.MinValue, Long.MaxValue)
+      assert(all.toSeq == m.toSeq && allCost.queries == qp.versionSpan(v))
     }
   }
 
@@ -106,6 +163,37 @@ class QueryProcessorSpec extends SparkSpec {
       val chunk = a.itemChunk(sub.recordSc(i))
       assert(idx.keyToChunks(key).contains(chunk))
     }
+  }
+
+  test("indexes: the key→chunk and chunk→key-rank projections are transposes") {
+    val sub = SubChunker.build(ds, 2)
+    val a = new BottomUpPartitioner().partition(sub.input, capacity)
+    val idx = ChunkIndexes.build(ds, sub, a)
+    assert(idx.keys.toSeq == ds.uniqueCks.map(Ck.key).distinct.toSeq)
+    val byKey = idx.keys.indices.flatMap(r => idx.keyToChunks(idx.keys(r)).map((r, _))).toSet
+    val byChunk = (0 until a.numChunks).flatMap { c =>
+      val ranks = idx.chunkKeyRanks.slice(idx.chunkOff(c), idx.chunkOff(c + 1))
+      assert((1 until ranks.length).forall(j => ranks(j - 1) < ranks(j)), s"chunk $c ranks not ascending")
+      ranks.map((_, c))
+    }
+    assert(byKey == byChunk.toSet)
+  }
+
+  test("indexes: rank and chunk lookups over a sparse key array") {
+    // keys 0 and 1 sit at their own rank; 5, 9 and 10 do not
+    val keys = Array(0L, 1L, 5L, 9L, 10L)
+    val keyChunks = Array(Array(0), Array(0, 1), Array(1), Array(0), Array(1))
+    val chunkRanks = Array(Array(0, 1, 3), Array(1, 2, 4))
+    val idx = ChunkIndexes(Array.empty, keys, keyChunks.scanLeft(0)(_ + _.length), keyChunks.flatten,
+      chunkRanks.scanLeft(0)(_ + _.length), chunkRanks.flatten, Array(0L, 0L))
+    for (key <- Seq(Long.MinValue, Long.MaxValue) ++ (-2L to 12L)) {
+      assert(idx.rankFrom(key) == keys.count(_ < key), s"rankFrom($key)")
+      assert(idx.rankAfter(key) == keys.count(_ <= key), s"rankAfter($key)")
+      val r = keys.indexOf(key)
+      assert(idx.keyToChunks(key).toSeq == (if (r < 0) Seq.empty else keyChunks(r).toSeq), s"keyToChunks($key)")
+    }
+    for (c <- 0 to 1; rlo <- 0 to 5; rhi <- 0 to 5)
+      assert(idx.chunkHoldsRankIn(c, rlo, rhi) == chunkRanks(c).exists(r => r >= rlo && r < rhi))
   }
 
   test("indexes are small relative to the data (§2.4)") {
