@@ -5,23 +5,34 @@ import scala.collection.mutable
 /** BOTTOM-UP partitioning (§3.2, Algorithm 3).
   *
   * The tree is processed in post-order. Every processed version `v` passes
-  * its parent a collection π_v of record sets keyed by *consecutive-version
-  * run count*: how many versions below (and including) `v` contain the
-  * record. Following the paper's general-tree rule, counts of a record
-  * arriving from several children are summed before adding v's own +1.
+  * its parent π_v: for each of v's records, its *consecutive-version run
+  * count* — how many versions below (and including) `v` contain it. π_v is
+  * one `Int` array aligned with `members(v)`. The parent starts its own at
+  * 1 per record and folds each child's array in with one sorted walk over
+  * the two member arrays, so the runs of a record arriving from several
+  * children are summed (the paper's general-tree rule).
   *
-  * When the parent is processed, records present in π but absent from the
-  * parent's membership can never appear again higher up (a record only
-  * lives in descendants of its origin), so they are finalized: chunked in
-  * decreasing run-count order, starting a fresh chunk per finalization
-  * step so that highly-shared records are not split across chunks. Partial
-  * chunks left over by those steps are merged at the very end, neighbours
-  * in creation order (`ChunkBuilder.mergePartialsAndResult`), to curb
-  * fragmentation.
+  * A child record absent from the parent can never appear again higher up
+  * (a record only lives in descendants of its origin), so it is finalized
+  * at the parent with its summed run. A version's finalized records form
+  * one batch, sorted by decreasing run, then origin version (keeping a
+  * branch region's records adjacent inside a run), then item id; at the
+  * root every surviving record joins the batch, after the dying records of
+  * equal run.
   *
-  * The β knob (§3.2.1) bounds the number of distinct run-count sets a
-  * version may return, merging the smallest sets into their neighbour with
-  * the next-lower count — cheaper processing, coarser ordering.
+  * Batches are *computed* bottom-up but *emitted* at the finalize version's
+  * pre-order position: a version's span is the set of chunks holding its
+  * ancestors' records, and pre-order lays each root-to-leaf path
+  * contiguously. A batch starts a fresh chunk only when the leftover partial
+  * could still be merged away; partial chunks are merged at the very end,
+  * neighbours in creation order (`ChunkBuilder.mergePartialsAndResult`), to
+  * curb fragmentation.
+  *
+  * The β knob (§3.2.1) bounds the number of distinct run counts a version
+  * may return: on the run-count histogram, the count held by the fewest
+  * records is merged into its next-lower neighbour (the next-higher, for
+  * the lowest), until β counts remain; one pass then relabels π_v —
+  * cheaper processing, coarser ordering.
   */
 final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
   require(beta >= 1)
@@ -30,93 +41,45 @@ final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
   override def partition(in: PartitionInput, capacity: Long): Assignment = {
     val tree = in.tree
 
-    // item origin: the version where the item first appears — used to keep
-    // records of the same branch region adjacent inside a run-count group,
-    // so versions of one branch don't pay for chunks full of sibling-branch
-    // records that happen to share a summed count
-    val itemOrigin = new Array[Int](in.numItems)
-    for (v <- 0 until tree.size; it <- in.adds(v)) itemOrigin(it) = v
+    // items in (origin version, id) order; a batch sorts on this rank
+    val origin = new Array[Int](in.numItems)
+    for (v <- 0 until tree.size; it <- in.adds(v)) origin(it) = v
+    val byRank = Array.tabulate(in.numItems)(it => origin(it).toLong << 32 | it).sorted.map(_.toInt)
+    val rank = new Array[Int](in.numItems)
+    for (r <- byRank.indices) rank(byRank(r)) = r
 
-    // Finalization batches are *computed* bottom-up but *emitted* at the
-    // finalize version's pre-order position: a version's span is the set of
-    // chunks holding its ancestors' records, and pre-order lays each
-    // root-to-leaf path contiguously (post-order emission would separate a
-    // parent's records from its first subtree by all sibling subtrees).
-    val batches = new Array[List[(Int, Array[Int])]](tree.size) // count-desc groups
+    /** Batch order: decreasing run, dying before surviving, then rank. */
+    def sortKey(run: Int, surviving: Boolean, item: Int): Long =
+      (Int.MaxValue - run).toLong << 32 | (if (surviving) 1L << 31 else 0L) | rank(item)
 
-    /** Record a finalization batch for version v: groups of items by
-      * decreasing run count (then by origin within a group).
-      */
-    def chunkBatch(v: Int, byCount: Iterator[(Int, Array[Int])]): Unit = {
-      val groups = byCount.map { case (c, items) =>
-        (c, items.sortBy(it => (itemOrigin(it), it)))
-      }.toList
-      if (groups.exists(_._2.nonEmpty)) batches(v) = groups
-    }
-
-    /** Reduce a count→items map to at most β distinct counts by merging the
-      * smallest group into the next-lower surviving count (§3.2.1).
-      */
-    def limitSets(pi: mutable.LongMap[Int], counts: mutable.SortedMap[Int, Int]): Unit = {
-      // counts: run count -> number of items with that count
-      while (counts.size > beta) {
-        val mergeCount = counts.minBy(_._2)._1 // group with fewest items
-        // merge the smallest group into its lower neighbour (or upper, for the lowest group)
-        val keys = counts.keys.toIndexedSeq
-        val pos = keys.indexOf(mergeCount)
-        val target = if (pos > 0) keys(pos - 1) else keys(pos + 1)
-        pi.foreachEntry((item, c) => if (c == mergeCount) pi(item) = target)
-        counts(target) = counts(target) + counts(mergeCount)
-        counts.remove(mergeCount)
-      }
-    }
-
-    // π maps item -> run count. Processed in post-order; children's results
-    // are stored until their parent consumes them.
-    val pending = new Array[mutable.LongMap[Int]](tree.size)
+    val runs = new Array[Array[Int]](tree.size) // π_v, until the parent folds it in
+    val dyingRun = new Array[Int](in.numItems) // summed runs of records dying at v; 0 otherwise
+    val batches = new Array[Array[Int]](tree.size)
 
     tree.postOrder.foreach { v =>
       val mem = in.members(v)
-      def inV(item: Int): Boolean = java.util.Arrays.binarySearch(mem, item) >= 0
-
-      // collect children's sets, summing counts of duplicates (§3.2 trees)
-      val collected = mutable.LongMap.empty[Int]
+      val run = Array.fill(mem.length)(1)
+      val dying = mutable.ArrayBuilder.make[Int]
       tree.children(v).foreach { c =>
-        pending(c).foreachEntry { (item, cnt) =>
-          collected(item) = collected.getOrElse(item, 0) + cnt
+        val cm = in.members(c); val cr = runs(c)
+        var i = 0; var j = 0
+        while (j < cm.length) {
+          while (i < mem.length && mem(i) < cm(j)) i += 1
+          if (i < mem.length && mem(i) == cm(j)) run(i) += cr(j)
+          else { if (dyingRun(cm(j)) == 0) dying += cm(j); dyingRun(cm(j)) += cr(j) }
+          j += 1
         }
-        pending(c) = null // free
+        runs(c) = null
       }
+      if (beta != Int.MaxValue) limitRuns(run)
 
-      // finalize records that die below v: present in children, absent in v
-      val dead = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
-      val pi = mutable.LongMap.empty[Int]
-      collected.foreachEntry { (item, cnt) =>
-        if (inV(item.toInt)) pi(item) = cnt + 1
-        else dead.getOrElseUpdate(cnt.toLong, mutable.ArrayBuffer.empty) += item.toInt
-      }
-      chunkBatch(v, dead.toSeq.sortBy(-_._1).iterator.map { case (c, b) => (c.toInt, b.toArray) })
-
-      // records of v seen by no child get run count 1
-      mem.foreach(item => if (!pi.contains(item.toLong)) pi(item.toLong) = 1)
-
-      if (beta != Int.MaxValue) {
-        val counts = mutable.SortedMap.empty[Int, Int]
-        pi.foreachEntry((_, c) => counts(c) = counts.getOrElse(c, 0) + 1)
-        limitSets(pi, counts)
-      }
-
-      if (v == 0) {
-        // the root: everything still alive is finalized here. Its batch is
-        // merged with any records dying at the root into one root batch.
-        val alive = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
-        pi.foreachEntry((item, cnt) => alive.getOrElseUpdate(cnt.toLong, mutable.ArrayBuffer.empty) += item.toInt)
-        val rootGroups = alive.toSeq.iterator.map { case (c, b) =>
-          (c.toInt, b.toArray.sortBy(it => (itemOrigin(it), it)))
-        }
-        // one root batch, dying and surviving groups in decreasing count order
-        batches(0) = (Option(batches(0)).getOrElse(Nil) ++ rootGroups.toList).sortBy(-_._1)
-      } else pending(v) = pi
+      val batch = mutable.ArrayBuilder.make[Long]
+      dying.result().foreach { it => batch += sortKey(dyingRun(it), surviving = false, it); dyingRun(it) = 0 }
+      if (v == 0) mem.indices.foreach(i => batch += sortKey(run(i), surviving = true, mem(i)))
+      else runs(v) = run
+      val keys = batch.result()
+      java.util.Arrays.sort(keys)
+      if (keys.nonEmpty) batches(v) = keys.map(k => byRank((k & Int.MaxValue).toInt))
     }
 
     // Emit batches in pre-order of their finalize version; a batch starts a
@@ -128,14 +91,33 @@ final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
     val partials = mutable.ArrayBuffer.empty[(Int, Long)]
     val mergeable = (capacity + capacity / 4) / 2
     tree.dfsOrder.foreach { v =>
-      val groups = batches(v)
-      if (groups != null) {
-        groups.foreach { case (_, items) =>
-          items.foreach(it => cb.add(it, in.itemSizes(it)))
-        }
+      val items = batches(v)
+      if (items != null) {
+        items.foreach(it => cb.add(it, in.itemSizes(it)))
         if (cb.openBytes <= mergeable) cb.sealPartial().foreach(partials += _)
       }
     }
     cb.mergePartialsAndResult(partials.toSeq)
+  }
+
+  /** Reduce π_v to at most β distinct run counts (§3.2.1). Merges follow
+    * chains (2→1, then 1→3), so each merged count is resolved to where its
+    * chain ends before π_v is relabelled.
+    */
+  private def limitRuns(run: Array[Int]): Unit = {
+    val hist = mutable.TreeMap.empty[Int, Int] // run count → number of records
+    run.foreach(r => hist(r) = hist.getOrElse(r, 0) + 1)
+    val into = mutable.HashMap.empty[Int, Int] // merged count → count it merged into
+    while (hist.size > beta) {
+      val m = hist.minBy(_._2)._1 // fewest records; the lowest such count
+      val t = hist.maxBefore(m).getOrElse(hist.minAfter(m + 1).get)._1
+      hist(t) += hist.remove(m).get
+      into(m) = t
+    }
+    if (into.nonEmpty) {
+      def resolve(c: Int): Int = into.get(c).fold(c)(resolve)
+      val to = Array.tabulate(run.max + 1)(resolve)
+      for (i <- run.indices) run(i) = to(run(i))
+    }
   }
 }

@@ -27,20 +27,21 @@ final case class Delta(adds: Array[Long], dels: Array[Long]) {
   /** The inverse delta (deriving the parent from the child). */
   def invert: Delta = Delta(dels, adds)
 
-  /** Apply to a parent membership set, producing the child membership. */
+  /** Apply to a parent membership set, producing the child membership: one
+    * sorted walk over the parent, `dels` and `adds`.
+    */
   def applyTo(parentMembers: Array[Long]): Array[Long] = {
-    val delSet = dels.toSet
-    val kept = parentMembers.filterNot(delSet.contains)
-    val out = new Array[Long](kept.length + adds.length)
-    // both inputs sorted → merge keeps the output sorted
-    var i = 0; var j = 0; var k = 0
-    while (i < kept.length && j < adds.length) {
-      if (kept(i) <= adds(j)) { out(k) = kept(i); i += 1 } else { out(k) = adds(j); j += 1 }
-      k += 1
+    val p = parentMembers
+    val out = new Array[Long](p.length + adds.length)
+    var i = 0; var d = 0; var a = 0; var k = 0
+    while (i < p.length || a < adds.length) {
+      if (i < p.length && (a == adds.length || p(i) <= adds(a))) {
+        while (d < dels.length && dels(d) < p(i)) d += 1
+        if (d < dels.length && dels(d) == p(i)) d += 1 else { out(k) = p(i); k += 1 }
+        i += 1
+      } else { out(k) = adds(a); a += 1; k += 1 }
     }
-    while (i < kept.length) { out(k) = kept(i); i += 1; k += 1 }
-    while (j < adds.length) { out(k) = adds(j); j += 1; k += 1 }
-    out
+    if (k == out.length) out else java.util.Arrays.copyOf(out, k)
   }
 
   /** Number of records touched — drives delta-store ingest cost. */

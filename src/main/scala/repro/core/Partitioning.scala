@@ -50,13 +50,15 @@ final case class Assignment(itemChunk: Array[Int], numChunks: Int) {
 }
 
 /** Fixed-capacity sequential chunk filler (§2.5's fixed-chunk-size rule):
-  * items are appended to the open chunk while it is below `capacity`; the
-  * first item that lands on a chunk already at/over capacity opens a new
-  * one. Since item sizes ≪ capacity this keeps every chunk within the
-  * paper's 25 % slack.
+  * items are appended to the open chunk while it is below `capacity`; an
+  * item opens a new chunk when the open one is already at/over capacity,
+  * or when adding it would push the open one past the paper's 25 % slack
+  * (`1.25·capacity`). So no chunk exceeds `1.25·capacity`, and an item
+  * larger than that is rejected.
   */
 final class ChunkBuilder(capacity: Long, numItems: Int) {
   val itemChunk: Array[Int] = Array.fill(numItems)(-1)
+  private val limit = capacity + capacity / 4
   private val bytes = mutable.ArrayBuffer.empty[Long]
   private var cur = -1
 
@@ -64,7 +66,8 @@ final class ChunkBuilder(capacity: Long, numItems: Int) {
 
   def add(item: Int, size: Long): Unit = {
     require(itemChunk(item) == -1, s"item $item assigned twice")
-    if (cur == -1 || bytes(cur) >= capacity) open()
+    require(size <= limit, s"item $item is $size B, larger than the 1.25·C chunk limit of $limit B")
+    if (cur == -1 || bytes(cur) >= capacity || bytes(cur) + size > limit) open()
     itemChunk(item) = cur
     bytes(cur) += size
   }
@@ -100,7 +103,6 @@ final class ChunkBuilder(capacity: Long, numItems: Int) {
     * touches it.
     */
   def mergePartialsAndResult(partials: Seq[(Int, Long)]): Assignment = {
-    val limit = capacity + capacity / 4
     val groups = mutable.ArrayBuffer.empty[(mutable.ArrayBuffer[Int], Long)] // (chunk ids, bytes)
     for ((cid, sz) <- partials) {
       if (groups.nonEmpty && groups.last._2 + sz <= limit) {

@@ -1,39 +1,26 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.data.{DatasetSpec, VersionedDataGen}
 
-/** Smoke checks of the provided harness pieces (SynthData + Oracle) so a
-  * broken base environment fails loudly before the RStore suites run.
+/** Smoke checks of the DuckDB `Oracle` over the membership relation of a
+  * tiny generated dataset, so a broken oracle fails loudly before the
+  * RStore suites rely on it.
   */
 class HarnessSmokeSpec extends SparkSpec {
-
-  test("SynthData.lineitem generates deterministic rows at tiny SF") {
-    val a = SynthData.lineitem(spark, sf = 0.001).count()
-    val b = SynthData.lineitem(spark, sf = 0.001).count()
-    assert(a == b && a > 0)
-  }
+  private lazy val membership =
+    VersionedDataGen.generate(DatasetSpec.tiny()).membershipDF(spark).cache()
+  private val sql = "SELECT origin, COUNT(*) AS cnt FROM membership GROUP BY origin"
 
   test("Oracle validates a simple aggregation") {
-    val li = SynthData.lineitem(spark, sf = 0.001).limit(500).cache()
-    val agg = li.groupBy(col("l_returnflag"))
-      .agg(count(lit(1)).as("cnt"))
-      .select(col("l_returnflag"), col("cnt"))
-    Oracle.assertEquivalent(
-      agg,
-      "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+    val agg = membership.groupBy(col("origin")).agg(count(lit(1)).as("cnt"))
+    Oracle.assertEquivalent(agg, sql, "membership" -> membership)
   }
 
   test("Oracle catches a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001).limit(100).cache()
-    val wrong = li.groupBy(col("l_returnflag"))
-      .agg((count(lit(1)) + 1).as("cnt"))
-      .select(col("l_returnflag"), col("cnt"))
+    val wrong = membership.groupBy(col("origin")).agg((count(lit(1)) + 1).as("cnt"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        wrong,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, sql, "membership" -> membership)
     }
   }
 }

@@ -109,6 +109,32 @@ class BottomUpSpec extends AnyFunSuite {
     }
   }
 
+  // With C equal to the item size every item fills its own chunk, so chunk
+  // ids follow BottomUp's emission order.
+  private def emissionOrder(tree: VersionTree, members: Array[Array[Int]], beta: Int = Int.MaxValue): Seq[Int] = {
+    val sizes = Array.fill(members.flatten.max + 1)(10L)
+    new BottomUpPartitioner(beta).partition(PartitionInput(tree, members, sizes), 10).itemChunk.toSeq
+  }
+
+  test("a record dying at the root from two children sums its runs") {
+    // item 0 lives in both leaves (run 1 + 1), item 1 in one (run 1); by
+    // origin alone item 1 (origin V1) would precede item 0 (origin V2)
+    assert(emissionOrder(VersionTree(-1, 0, 0), Array(Array(), Array(0, 1), Array(0))) == Seq(0, 1))
+  }
+
+  test("beta = 1 resolves a chained merge") {
+    // root runs: item 0 → 2, items 1,2 → 1, items 3..5 → 3. β = 1 merges
+    // count 2 into 1, then 1 into 3: item 0 must follow the chain to 3
+    val members = Array(Array(0, 1, 2, 3, 4, 5), Array(0, 3, 4, 5), Array(3, 4, 5))
+    assert(emissionOrder(VersionTree(-1, 0, 0), members, beta = 1) == Seq(0, 1, 2, 3, 4, 5))
+  }
+
+  test("at the root a dying record precedes a surviving record of equal run") {
+    // item 1 (V1, V2) dies at the root with run 2; item 0 (V0, V1) survives
+    // with run 2; by origin alone item 0 would go first
+    assert(emissionOrder(VersionTree(-1, 0, 1), Array(Array(0), Array(0, 1), Array(1))) == Seq(1, 0))
+  }
+
   test("single-version dataset forms minimal chunks") {
     val tree = VersionTree.chain(1)
     val members = Array(Array(0, 1, 2, 3))

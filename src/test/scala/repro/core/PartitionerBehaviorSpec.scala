@@ -86,6 +86,22 @@ class PartitionerBehaviorSpec extends SparkSpec {
     }
   }
 
+  // Large sub-chunks (1280 B records, P_d = 20 %, k = 50) at C = 32 KB: an
+  // item can no longer be assumed ≪ C, yet no stored chunk may pass 1.25·C.
+  private lazy val largeItems = {
+    val ds = VersionedDataGen.generate(DatasetSpec.E.withPd(0.2))
+    SubChunker.build(ds, 50)
+  }
+
+  for (algoIdx <- algos.indices) {
+    test(s"E at P_d=20%, k=50: algo #$algoIdx keeps every stored chunk within 1.25·C") {
+      val c = 32 * 1024L
+      val a = algos(algoIdx).partition(largeItems.input, c)
+      val over = a.chunkBytes(largeItems.scSizes).filter(_ > c + c / 4)
+      assert(over.isEmpty, s"${algos(algoIdx).name}: ${over.length} chunks over ${c + c / 4} B, largest ${over.maxOption}")
+    }
+  }
+
   test("DFS beats BFS on branched trees") {
     val spec = DatasetSpec.tiny("branchcmp", 60, 200, skewed = false, 6, seed = 21)
     val ds = VersionedDataGen.generate(spec)

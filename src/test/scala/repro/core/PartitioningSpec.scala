@@ -15,6 +15,14 @@ class PartitioningSpec extends AnyFunSuite {
     assert(a.numChunks == 3)
   }
 
+  test("ChunkBuilder keeps a chunk within 1.25·C and rejects larger items") {
+    val cb = new ChunkBuilder(100, 3)
+    cb.add(0, 90); cb.add(1, 40) // 130 > 125: item 1 opens a new chunk
+    cb.add(2, 125)
+    assert(cb.result().itemChunk.toSeq == Seq(0, 1, 2))
+    intercept[IllegalArgumentException](new ChunkBuilder(100, 1).add(0, 126))
+  }
+
   test("ChunkBuilder rejects double assignment") {
     val cb = new ChunkBuilder(100, 2)
     cb.add(0, 10)
