@@ -141,24 +141,53 @@ trait Partitioner {
   */
 object Span {
 
-  /** The sorted distinct image of `ids` under `f`. With a version's member
-    * items and an item→chunk map, the chunks the version spans; with a
-    * record→sub-chunk map, the sub-chunks it touches.
+  /** The sorted distinct images of rows under a map `f` with non-negative
+    * values. One stamp array over f's range serves every row: the r-th call
+    * tags the values it meets with r + 1, so the array is never cleared.
+    * A row's distinct values are kept in order of first appearance and
+    * sorted only when they do not already arrive ascending.
     */
-  def image(ids: Array[Int], f: Array[Int]): Array[Int] = {
-    val out = ids.map(f)
-    java.util.Arrays.sort(out)
-    var n = 0
-    var i = 0
-    while (i < out.length) {
-      if (n == 0 || out(i) != out(n - 1)) { out(n) = out(i); n += 1 }
-      i += 1
+  final class Images(f: Array[Int]) {
+    private val range = if (f.isEmpty) 0 else f.max + 1
+    private val stamp = new Array[Int](range)
+    private val buf = new Array[Int](range)
+    private var tag = 0
+
+    /** The sorted distinct image of `xs(from until until)` under `f`. */
+    def apply(xs: Array[Int], from: Int, until: Int): Array[Int] = {
+      tag += 1
+      var n = 0
+      var ascending = true
+      var i = from
+      while (i < until) {
+        val c = f(xs(i))
+        if (stamp(c) != tag) {
+          stamp(c) = tag
+          if (n > 0 && c < buf(n - 1)) ascending = false
+          buf(n) = c
+          n += 1
+        }
+        i += 1
+      }
+      val out = java.util.Arrays.copyOf(buf, n)
+      if (!ascending) java.util.Arrays.sort(out)
+      out
     }
-    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
+
+    def apply(xs: Array[Int]): Array[Int] = apply(xs, 0, xs.length)
+  }
+
+  /** Per row of `members`, its sorted distinct image under `f`. With
+    * versions' member items and an item→chunk map, the chunks each version
+    * spans; with a record→sub-chunk map, the sub-chunks each touches.
+    */
+  def images(members: Array[Array[Int]], f: Array[Int]): Array[Array[Int]] = {
+    val im = new Images(f)
+    members.map(im(_))
   }
 
   def perVersion(members: Array[Array[Int]], a: Assignment): Array[Int] =
-    members.map(image(_, a.itemChunk).length)
+    images(members, a.itemChunk).map(_.length)
 
   def total(members: Array[Array[Int]], a: Assignment): Long =
     perVersion(members, a).map(_.toLong).sum

@@ -45,40 +45,14 @@ object SubChunker {
   def build(ds: VersionedDataset, k: Int): SubChunking = {
     require(k >= 1)
     val cks = ds.uniqueCks
-    val n = cks.length
-    val recordSc = Array.fill(n)(-1)
-    val reps = mutable.ArrayBuffer.empty[Long]
-    val sizes = mutable.ArrayBuffer.empty[Long]
-
-    def emit(group: Seq[Int]): Unit = {
-      // root-most member: the one whose origin has minimal tree depth
-      val root = group.minBy(i => (ds.tree.depth(Ck.version(cks(i))), cks(i)))
-      val sc = reps.length
-      group.foreach(recordSc(_) = sc)
-      reps += cks(root)
-      sizes += RecordModel.subChunkCompressedSize(
-        cks(root), group.filterNot(_ == root).map(cks(_)), ds.spec)
-    }
-
-    if (k == 1) {
-      (0 until n).foreach(i => emit(Seq(i)))
-    } else {
-      // per-key lineage forest; uniqueCks is sorted by key, so records of a
-      // key are a contiguous range
-      var lo = 0
-      while (lo < n) {
-        var hi = lo
-        val key = Ck.key(cks(lo))
-        while (hi < n && Ck.key(cks(hi)) == key) hi += 1
-        groupKey(ds, cks, lo, hi, k, emit)
-        lo = hi
-      }
-    }
-
-    require(recordSc.forall(_ >= 0), "record left without a sub-chunk")
+    // at k = 1 every record is its own sub-chunk
+    val (recordSc, reps, sizes) =
+      if (k == 1) (Array.range(0, cks.length), cks,
+        cks.map(RecordModel.subChunkCompressedSize(_, Nil, ds.spec)))
+      else groupByLineage(ds, k)
 
     // per original version: distinct sub-chunks touched
-    val scMembersOrig: Array[Array[Int]] = ds.membersItems.map(Span.image(_, recordSc))
+    val scMembersOrig: Array[Array[Int]] = Span.images(ds.membersItems, recordSc)
 
     // transformed tree: drop versions whose sub-chunk set equals the
     // parent's (Fig 7's duplicate deletion); reattach to the nearest kept
@@ -105,12 +79,46 @@ object SubChunker {
 
     SubChunking(
       recordSc = recordSc,
-      scRepCk = reps.toArray,
-      scSizes = sizes.toArray,
+      scRepCk = reps,
+      scSizes = sizes,
       scMembersOrig = scMembersOrig,
-      input = PartitionInput(new VersionTree(tParent), tMembers, sizes.toArray),
+      input = PartitionInput(new VersionTree(tParent), tMembers, sizes),
       rawBytes = ds.itemSizes.sum,
     )
+  }
+
+  /** Connected groups of ≤k records per key (k > 1): record → sub-chunk,
+    * and per sub-chunk its representative ck and compressed size.
+    */
+  private def groupByLineage(ds: VersionedDataset, k: Int): (Array[Int], Array[Long], Array[Long]) = {
+    val cks = ds.uniqueCks
+    val n = cks.length
+    val recordSc = Array.fill(n)(-1)
+    val reps = mutable.ArrayBuffer.empty[Long]
+    val sizes = mutable.ArrayBuffer.empty[Long]
+
+    def emit(group: Seq[Int]): Unit = {
+      // root-most member: the one whose origin has minimal tree depth
+      val root = group.minBy(i => (ds.tree.depth(Ck.version(cks(i))), cks(i)))
+      val sc = reps.length
+      group.foreach(recordSc(_) = sc)
+      reps += cks(root)
+      sizes += RecordModel.subChunkCompressedSize(
+        cks(root), group.filterNot(_ == root).map(cks(_)), ds.spec)
+    }
+
+    // per-key lineage forest; uniqueCks is sorted by key, so records of a
+    // key are a contiguous range
+    var lo = 0
+    while (lo < n) {
+      var hi = lo
+      val key = Ck.key(cks(lo))
+      while (hi < n && Ck.key(cks(hi)) == key) hi += 1
+      groupKey(ds, cks, lo, hi, k, emit)
+      lo = hi
+    }
+    require(recordSc.forall(_ >= 0), "record left without a sub-chunk")
+    (recordSc, reps.toArray, sizes.toArray)
   }
 
   /** Group the records of one key (items `lo until hi`) into connected

@@ -3,8 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{DatasetSpec, RecordModel}
 
-import scala.collection.mutable
-
 /** Summary statistics of a dataset — the columns of Table 2. */
 final case class DatasetStats(
     name: String,
@@ -51,6 +49,9 @@ final class VersionedDataset(
   val uniqueCks: Array[Long] = {
     val out = deltas.iterator.flatMap(_.adds).toArray
     java.util.Arrays.sort(out)
+    var i = 1
+    while (i < out.length && out(i - 1) != out(i)) i += 1
+    require(i >= out.length, s"record ${Ck.show(out(i))} is added by more than one delta")
     out
   }
 
@@ -64,7 +65,33 @@ final class VersionedDataset(
   lazy val itemSizes: Array[Long] = uniqueCks.map(RecordModel.size(_, spec))
 
   /** Per-version membership as dense item ids (sorted — ck order is id order). */
-  lazy val membersItems: Array[Array[Int]] = members.map(_.map(itemOf))
+  lazy val membersItems: Array[Array[Int]] = itemsByWalk()
+
+  /** `members` as item ids, top-down with one sorted walk per version against
+    * its parent: a record kept from the parent reuses the parent's id, and
+    * only the version's adds are looked up. (A method, not the lazy val's
+    * body: the JIT compiles these loops poorly inside the lazy val's lock.)
+    */
+  private def itemsByWalk(): Array[Array[Int]] = {
+    val out = new Array[Array[Int]](tree.size)
+    var v = 0
+    while (v < tree.size) {
+      val m = members(v)
+      val ids = new Array[Int](m.length)
+      val p = tree.parent(v)
+      val pm = if (p == -1) Array.emptyLongArray else members(p)
+      val pids = if (p == -1) Array.emptyIntArray else out(p)
+      var i = 0; var j = 0
+      while (i < m.length) {
+        while (j < pm.length && pm(j) < m(i)) j += 1
+        ids(i) = if (j < pm.length && pm(j) == m(i)) pids(j) else itemOf(m(i))
+        i += 1
+      }
+      out(v) = ids
+      v += 1
+    }
+    out
+  }
 
   /** Lineage parent of a modified record, if any. */
   def lineage(ck: Long): Option[Long] = lineageMap.get(ck)
@@ -189,33 +216,29 @@ final class VersionedDataset(
 object DagToTree {
   def convert(dag: VersionDag, dagMembers: Array[Array[Long]], spec: DatasetSpec): VersionedDataset = {
     val (tree, _) = dag.toTree
-    // ancestors along the *tree*, for checking whether a record's origin is
-    // reachable without the dropped edges
-    val anc: Array[Set[Int]] = {
-      val a = new Array[Set[Int]](tree.size)
-      a(0) = Set(0)
-      for (v <- 1 until tree.size) a(v) = a(tree.parent(v)) + v
-      a
-    }
-    def contains(v: Int, ck: Long): Boolean =
-      java.util.Arrays.binarySearch(dagMembers(v), ck) >= 0
-    // A record whose origin is not a tree-ancestor of v arrived through a
-    // dropped edge; rename it to originate at the merge version where it
-    // entered the kept path (the highest ancestor that has the record but
-    // not its origin). Deterministic, so descendants agree on the new key.
-    def renamed(v: Int, ck: Long): Long = {
-      var m = v
-      while (tree.parent(m) != -1 &&
-             contains(tree.parent(m), ck) &&
-             !anc(tree.parent(m)).contains(Ck.version(ck))) m = tree.parent(m)
-      Ck.pack(Ck.key(ck), m)
-    }
-    val treeMembers = new Array[Array[Long]](tree.size)
+    // Top-down (a tree parent precedes its child): a record in the tree
+    // parent keeps the parent's name for it. Any other record enters the
+    // kept path at v: it is a fresh insert if it originated at v, else it
+    // arrived through a dropped edge — even when its origin is an ancestor
+    // that the kept path lost it from — and is renamed to originate at v.
+    // `names(v)` is aligned with `dagMembers(v)`.
+    val names = new Array[Array[Long]](tree.size)
     for (v <- 0 until tree.size) {
-      treeMembers(v) = dagMembers(v).map { ck =>
-        if (anc(v).contains(Ck.version(ck))) ck else renamed(v, ck)
-      }.sorted
+      val m = dagMembers(v)
+      val p = tree.parent(v)
+      val pm = if (p == -1) Array.emptyLongArray else dagMembers(p)
+      val out = new Array[Long](m.length)
+      var j = 0
+      for (i <- m.indices) {
+        while (j < pm.length && pm(j) < m(i)) j += 1
+        out(i) =
+          if (j < pm.length && pm(j) == m(i)) names(p)(j)
+          else if (Ck.version(m(i)) == v) m(i)
+          else Ck.pack(Ck.key(m(i)), v)
+      }
+      names(v) = out
     }
+    val treeMembers = names.map(_.sorted)
     val deltas = new Array[Delta](tree.size)
     deltas(0) = Delta(treeMembers(0), Array.emptyLongArray)
     for (v <- 1 until tree.size)

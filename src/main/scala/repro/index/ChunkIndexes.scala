@@ -80,7 +80,8 @@ object ChunkIndexes {
     * sub-chunk→chunk assignment.
     */
   def build(ds: VersionedDataset, sc: SubChunking, a: Assignment): ChunkIndexes = {
-    val versionToChunks = sc.scMembersOrig.map(Span.image(_, a.itemChunk))
+    val image = new Span.Images(a.itemChunk)
+    val versionToChunks = sc.scMembersOrig.map(image(_))
     val keys = Array.newBuilder[Long]
     val keyOff = Array.newBuilder[Int]
     val keyChunks = Array.newBuilder[Int]
@@ -94,7 +95,7 @@ object ChunkIndexes {
       val key = Ck.key(cks(lo))
       var hi = lo
       while (hi < cks.length && Ck.key(cks(hi)) == key) hi += 1
-      val cs = Span.image(sc.recordSc.slice(lo, hi), a.itemChunk)
+      val cs = image(sc.recordSc, lo, hi) // the key's records are ids lo until hi
       cs.foreach(c => chunkOff(c + 1) += 1)
       keys += key
       keyChunks ++= cs

@@ -36,12 +36,14 @@ final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: I
   def run(upTo: Int): State = {
     require(upTo >= 1 && upTo <= ds.tree.size)
     val ckChunk = mutable.LongMap.empty[Int]
+    // dataset item id → local item id in the current batch, −1 outside it
+    val local = Array.fill(ds.uniqueCks.length)(-1)
     var chunkBase = 0
     var b0 = 0
     while (b0 < upTo) {
       val b1 = math.min(b0 + batchSize, upTo)
-      val a = partitionBatch(b0, b1)
-      a._1.foreachEntry((ck, local) => ckChunk(ck) = chunkBase + local)
+      val a = partitionBatch(b0, b1, local)
+      a._1.foreachEntry((ck, c) => ckChunk(ck) = chunkBase + c)
       chunkBase += a._2
       b0 = b1
     }
@@ -49,9 +51,10 @@ final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: I
   }
 
   /** Partition the records originating in versions `[b0, b1)`; returns
-    * ck→local-chunk and the local chunk count.
+    * ck→local-chunk and the local chunk count. `local` is all −1 on entry
+    * and on return.
     */
-  private def partitionBatch(b0: Int, b1: Int): (mutable.LongMap[Int], Int) = {
+  private def partitionBatch(b0: Int, b1: Int, local: Array[Int]): (mutable.LongMap[Int], Int) = {
     val batchLen = b1 - b0
     // new records of the batch, with dense local item ids
     val newCks: Array[Long] = {
@@ -62,7 +65,8 @@ final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: I
       java.util.Arrays.sort(arr)
       arr
     }
-    def localItem(ck: Long): Int = java.util.Arrays.binarySearch(newCks, ck)
+    val newItems = newCks.map(ds.itemOf) // ascending: ck order is id order
+    newItems.indices.foreach(i => local(newItems(i)) = i)
 
     // induced tree: local id 0 is a synthetic empty root; batch version v
     // maps to local id v-b0+1, parented to its nearest in-batch ancestor
@@ -79,11 +83,10 @@ final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: I
     v = b0
     while (v < b1) {
       // batch-originated records still live in v (sorted: ck order = id order)
-      members(v - b0 + 1) = ds.members(v)
-        .filter(ck => Ck.version(ck) >= b0)
-        .map(localItem)
+      members(v - b0 + 1) = ds.membersItems(v).filter(local(_) >= 0).map(local)
       v += 1
     }
+    newItems.foreach(local(_) = -1)
     val sizes = newCks.map(ck => RecordModel.subChunkCompressedSize(ck, Nil, ds.spec))
     val in = PartitionInput(new VersionTree(parent), members, sizes)
     val a = new BottomUpPartitioner().partition(in, capacity)

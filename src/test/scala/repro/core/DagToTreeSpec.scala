@@ -61,6 +61,25 @@ class DagToTreeSpec extends AnyFunSuite {
     assert(ds.deltas(4).numChanges == 0)
   }
 
+  test("a record the kept path lost is renamed when a merge brings it back") {
+    // V1 deletes <K1,V0>, V2 keeps it, V3 merges V1 (kept) with V2 and V4
+    // extends V3: <K1,V0> reaches V3 only through the dropped edge
+    val dag = new VersionDag(Array(Nil, List(0), List(0), List(1, 2), List(3)))
+    val members = Array(
+      Array(ck(0, 0), ck(1, 0)),
+      Array(ck(0, 0)),
+      Array(ck(0, 0), ck(1, 0)),
+      Array(ck(0, 0), ck(1, 0)),
+      Array(ck(0, 0), ck(1, 0)),
+    )
+    val ds = DagToTree.convert(dag, members, DatasetSpec("dag5", 5, 2, 0.5, skewed = false, 2))
+    assert(ds.uniqueCks.toSeq == Seq(ck(0, 0), ck(1, 0), ck(1, 3)))
+    assert(ds.members(3).toSeq == Seq(ck(0, 0), ck(1, 3)))
+    assert(ds.members(4).toSeq == Seq(ck(0, 0), ck(1, 3)))
+    assert(ds.members(2).toSeq == members(2).toSeq)
+    assert(ds.deltas(4).numChanges == 0)
+  }
+
   test("converted dataset satisfies the connectivity invariant") {
     val (dag, members) = mergeDag
     val ds = DagToTree.convert(dag, members, spec)

@@ -148,6 +148,48 @@ class VersionedDatasetSpec extends AnyFunSuite {
     }
   }
 
+  /** `membersItems(v)` is `members(v)` mapped through `itemOf`. */
+  private def assertItemsAligned(ds: VersionedDataset): Unit =
+    (0 until ds.tree.size).foreach { v =>
+      assert(ds.membersItems(v).toSeq == ds.members(v).map(ds.itemOf).toSeq, s"${ds.spec.name} v=$v")
+    }
+
+  test("membersItems matches itemOf on every version of generated datasets and prefixes") {
+    for (spec <- specs ++ Seq(DatasetSpec.A0, DatasetSpec.C0)) {
+      val ds = VersionedDataGen.generate(spec)
+      assertItemsAligned(ds)
+      Seq(1, 2, spec.nVersions / 3, spec.nVersions - 1).foreach(n => assertItemsAligned(ds.prefix(n)))
+    }
+  }
+
+  test("membersItems matches itemOf on example 2 and a DAG-converted dataset") {
+    assertItemsAligned(example2)
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    // V1 drops <K1,V0> and V2 keeps it; V3 merges V1 (kept) with V2, so
+    // <K1,V0> and <K3,V2> are renamed there; V4 extends V3
+    val dag = new VersionDag(Array(Nil, List(0), List(0), List(1, 2), List(3)))
+    val members = Array(
+      Array(ck(0, 0), ck(1, 0)),
+      Array(ck(0, 0), ck(2, 1)),
+      Array(ck(0, 0), ck(1, 0), ck(3, 2)),
+      Array(ck(0, 0), ck(1, 0), ck(2, 1), ck(3, 2)),
+      Array(ck(0, 0), ck(1, 0), ck(3, 2), ck(4, 4)),
+    )
+    assertItemsAligned(DagToTree.convert(dag, members, DatasetSpec("dag", 5, 2, 0.5, skewed = false, 2)))
+  }
+
+  test("a record added by two deltas is rejected, naming the record") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    val deltas = Array(
+      Delta(Array(ck(0, 0), ck(1, 0)), Array.emptyLongArray),
+      Delta(Array.emptyLongArray, Array(ck(1, 0))),
+      Delta(Array(ck(1, 0)), Array.emptyLongArray),
+    )
+    val e = intercept[IllegalArgumentException](new VersionedDataset(
+      DatasetSpec("dup", 3, 2, 0.5, skewed = false, 1), VersionTree.chain(3), deltas, Map.empty))
+    assert(e.getMessage.contains("<K1,V0>"), e.getMessage)
+  }
+
   test("chains have avg depth (n+1)/2") {
     val ds = VersionedDataGen.generate(DatasetSpec.tiny("chain", 21, 50, skewed = false, 1))
     assert(ds.tree.avgDepth == 11.0)

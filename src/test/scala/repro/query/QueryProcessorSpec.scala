@@ -45,6 +45,18 @@ class QueryProcessorSpec extends SparkSpec {
       }
     }
 
+    test(s"algo #$algoIdx k=$k: both index projections equal brute-force chunk sets") {
+      val qp = processor(algos(algoIdx), k)
+      def chunkOf(ck: Long): Int = qp.assignment.itemChunk(qp.sc.recordSc(ds.itemOf(ck)))
+      (0 until ds.tree.size).foreach { v =>
+        assert(qp.indexes.versionToChunks(v).toSeq == ds.members(v).map(chunkOf).distinct.sorted.toSeq, s"v=$v")
+      }
+      ds.uniqueCks.map(Ck.key).distinct.foreach { key =>
+        assert(qp.indexes.keyToChunks(key).toSeq == ds.recordsOfKey(key).map(chunkOf).distinct.sorted.toSeq,
+          s"key=$key")
+      }
+    }
+
     test(s"algo #$algoIdx k=$k: Q2 returns exactly the in-range records") {
       val qp = processor(algos(algoIdx), k)
       val rnd = new Random(5)
