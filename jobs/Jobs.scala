@@ -126,3 +126,19 @@ object OnlineJob {
     }
   }
 }
+
+/** Layout fingerprints: chunk count, total span and `itemChunk` hash per
+  * dataset, partitioner and k. Diff the output of two commits to check
+  * that a change keeps every layout.
+  */
+object LayoutFingerprintJob {
+  def main(args: Array[String]): Unit = {
+    val spark = JobSession.local()
+    val rows = Experiments.layoutFingerprints(spark)
+    println(TableFmt.render("Layout fingerprints",
+      Seq("Dataset", "Algorithm", "k", "Chunks", "Total span", "itemChunk hash"),
+      rows.map(r => Seq(r.datasetName, r.algorithm, r.k.toString, r.numChunks.toString,
+        r.totalSpan.toString, f"${r.hash}%016x"))))
+    spark.stop()
+  }
+}

@@ -40,46 +40,62 @@ final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
 
   override def partition(in: PartitionInput, capacity: Long): Assignment = {
     val tree = in.tree
-
-    // items in (origin version, id) order; a batch sorts on this rank
-    val origin = new Array[Int](in.numItems)
-    for (v <- 0 until tree.size; it <- in.adds(v)) origin(it) = v
-    val byRank = Array.tabulate(in.numItems)(it => origin(it).toLong << 32 | it).sorted.map(_.toInt)
-    val rank = new Array[Int](in.numItems)
-    for (r <- byRank.indices) rank(byRank(r)) = r
-
-    /** Batch order: decreasing run, dying before surviving, then rank. */
-    def sortKey(run: Int, surviving: Boolean, item: Int): Long =
-      (Int.MaxValue - run).toLong << 32 | (if (surviving) 1L << 31 else 0L) | rank(item)
+    val n = in.numItems
 
     val runs = new Array[Array[Int]](tree.size) // π_v, until the parent folds it in
-    val dyingRun = new Array[Int](in.numItems) // summed runs of records dying at v; 0 otherwise
+    val dyingRun = new Array[Int](n) // summed runs of records dying at v; 0 otherwise
     val batches = new Array[Array[Int]](tree.size)
+    val dying = new mutable.ArrayBuilder.ofInt
+    val post = tree.postOrder
 
-    tree.postOrder.foreach { v =>
+    var at = 0
+    while (at < post.length) {
+      val v = post(at)
       val mem = in.members(v)
-      val run = Array.fill(mem.length)(1)
-      val dying = mutable.ArrayBuilder.make[Int]
-      tree.children(v).foreach { c =>
+      val run = new Array[Int](mem.length)
+      java.util.Arrays.fill(run, 1)
+      // Children come in increasing id order and each child's records in
+      // id order, so `dying` lists v's dying records by (origin, id): a child
+      // record absent from v originated at that child.
+      dying.clear()
+      for (c <- tree.children(v)) {
         val cm = in.members(c); val cr = runs(c)
         var i = 0; var j = 0
         while (j < cm.length) {
           while (i < mem.length && mem(i) < cm(j)) i += 1
           if (i < mem.length && mem(i) == cm(j)) run(i) += cr(j)
-          else { if (dyingRun(cm(j)) == 0) dying += cm(j); dyingRun(cm(j)) += cr(j) }
+          else { if (dyingRun(cm(j)) == 0) dying.addOne(cm(j)); dyingRun(cm(j)) += cr(j) }
           j += 1
         }
         runs(c) = null
       }
       if (beta != Int.MaxValue) limitRuns(run)
 
-      val batch = mutable.ArrayBuilder.make[Long]
-      dying.result().foreach { it => batch += sortKey(dyingRun(it), surviving = false, it); dyingRun(it) = 0 }
-      if (v == 0) mem.indices.foreach(i => batch += sortKey(run(i), surviving = true, mem(i)))
-      else runs(v) = run
-      val keys = batch.result()
-      java.util.Arrays.sort(keys)
-      if (keys.nonEmpty) batches(v) = keys.map(k => byRank((k & Int.MaxValue).toInt))
+      // The batch: v's dying records, then at the root its surviving ones
+      // (origin 0, in id order). A sort key is the decreasing run over the
+      // record's position in that list, so equal runs keep the list order.
+      val dead = dying.result()
+      val keys = new Array[Long](dead.length + (if (v == 0) mem.length else 0))
+      var k = 0
+      while (k < dead.length) {
+        keys(k) = sortKey(dyingRun(dead(k)), k); dyingRun(dead(k)) = 0; k += 1
+      }
+      if (v == 0) {
+        var i = 0
+        while (i < mem.length) { keys(k) = sortKey(run(i), k); k += 1; i += 1 }
+      } else runs(v) = run
+      if (keys.nonEmpty) {
+        java.util.Arrays.sort(keys)
+        val items = new Array[Int](keys.length)
+        k = 0
+        while (k < keys.length) {
+          val pos = keys(k).toInt // the low half
+          items(k) = if (pos < dead.length) dead(pos) else mem(pos - dead.length)
+          k += 1
+        }
+        batches(v) = items
+      }
+      at += 1
     }
 
     // Emit batches in pre-order of their finalize version; a batch starts a
@@ -87,26 +103,39 @@ final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
     // (≤ half the 1.25·C slack limit). A partial in (0.625·C, C) can never
     // merge under the slack bound, so sealing there would freeze a
     // fragmented chunk — instead the next batch keeps filling it.
-    val cb = new ChunkBuilder(capacity, in.numItems)
+    val cb = new ChunkBuilder(capacity, n)
     val partials = mutable.ArrayBuffer.empty[(Int, Long)]
     val mergeable = (capacity + capacity / 4) / 2
-    tree.dfsOrder.foreach { v =>
-      val items = batches(v)
+    val pre = tree.dfsOrder
+    at = 0
+    while (at < pre.length) {
+      val items = batches(pre(at))
       if (items != null) {
-        items.foreach(it => cb.add(it, in.itemSizes(it)))
+        var i = 0
+        while (i < items.length) { cb.add(items(i), in.itemSizes(items(i))); i += 1 }
         if (cb.openBytes <= mergeable) cb.sealPartial().foreach(partials += _)
       }
+      at += 1
     }
     cb.mergePartialsAndResult(partials.toSeq)
   }
+
+  /** Batch order: decreasing run, then position in the batch's list. */
+  private def sortKey(run: Int, position: Int): Long = (Int.MaxValue - run).toLong << 32 | position
 
   /** Reduce π_v to at most β distinct run counts (§3.2.1). Merges follow
     * chains (2→1, then 1→3), so each merged count is resolved to where its
     * chain ends before π_v is relabelled.
     */
   private def limitRuns(run: Array[Int]): Unit = {
-    val hist = mutable.TreeMap.empty[Int, Int] // run count → number of records
-    run.foreach(r => hist(r) = hist.getOrElse(r, 0) + 1)
+    var max = 0
+    var i = 0
+    while (i < run.length) { max = math.max(max, run(i)); i += 1 }
+    val counts = new Array[Int](max + 1) // run count → number of records
+    i = 0
+    while (i < run.length) { counts(run(i)) += 1; i += 1 }
+    val hist = mutable.TreeMap.empty[Int, Int] // the same, over the counts present
+    for (r <- counts.indices if counts(r) > 0) hist(r) = counts(r)
     val into = mutable.HashMap.empty[Int, Int] // merged count → count it merged into
     while (hist.size > beta) {
       val m = hist.minBy(_._2)._1 // fewest records; the lowest such count
@@ -116,8 +145,10 @@ final class BottomUpPartitioner(beta: Int = Int.MaxValue) extends Partitioner {
     }
     if (into.nonEmpty) {
       def resolve(c: Int): Int = into.get(c).fold(c)(resolve)
-      val to = Array.tabulate(run.max + 1)(resolve)
-      for (i <- run.indices) run(i) = to(run(i))
+      val to = new Array[Int](counts.length)
+      for (c <- to.indices) to(c) = resolve(c)
+      i = 0
+      while (i < run.length) { run(i) = to(run(i)); i += 1 }
     }
   }
 }

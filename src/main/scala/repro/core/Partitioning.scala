@@ -26,12 +26,12 @@ final case class PartitionInput(
     if (v == 0) members(0)
     else {
       val p = members(tree.parent(v)); val c = members(v)
-      val out = Array.newBuilder[Int]
+      val out = new mutable.ArrayBuilder.ofInt
       var i = 0; var j = 0
       while (j < c.length) {
         if (i < p.length && p(i) == c(j)) { i += 1; j += 1 }
         else if (i < p.length && p(i) < c(j)) i += 1
-        else { out += c(j); j += 1 }
+        else { out.addOne(c(j)); j += 1 }
       }
       out.result()
     }
@@ -39,7 +39,11 @@ final case class PartitionInput(
 
 /** An item→chunk assignment produced by a partitioner. */
 final case class Assignment(itemChunk: Array[Int], numChunks: Int) {
-  require(itemChunk.forall(c => c >= 0 && c < numChunks), "dangling chunk id")
+  require({
+    var i = 0
+    while (i < itemChunk.length && itemChunk(i) >= 0 && itemChunk(i) < numChunks) i += 1
+    i == itemChunk.length
+  }, "dangling chunk id")
 
   def chunkBytes(itemSizes: Array[Long]): Array[Long] = {
     val b = new Array[Long](numChunks)
@@ -57,16 +61,24 @@ final case class Assignment(itemChunk: Array[Int], numChunks: Int) {
   * larger than that is rejected.
   */
 final class ChunkBuilder(capacity: Long, numItems: Int) {
-  val itemChunk: Array[Int] = Array.fill(numItems)(-1)
+  val itemChunk: Array[Int] = new Array[Int](numItems)
+  java.util.Arrays.fill(itemChunk, -1)
   private val limit = capacity + capacity / 4
-  private val bytes = mutable.ArrayBuffer.empty[Long]
+  private var bytes = new Array[Long](16) // per chunk; the first `chunks` are in use
+  private var chunks = 0
   private var cur = -1
 
-  private def open(): Unit = { bytes += 0L; cur = bytes.length - 1 }
+  private def open(): Unit = {
+    if (chunks == bytes.length) bytes = java.util.Arrays.copyOf(bytes, 2 * chunks)
+    cur = chunks
+    chunks += 1
+  }
 
+  // `add` throws rather than `require`s: a by-name message is a closure per call
   def add(item: Int, size: Long): Unit = {
-    require(itemChunk(item) == -1, s"item $item assigned twice")
-    require(size <= limit, s"item $item is $size B, larger than the 1.25·C chunk limit of $limit B")
+    if (itemChunk(item) != -1) throw new IllegalArgumentException(s"item $item assigned twice")
+    if (size > limit)
+      throw new IllegalArgumentException(s"item $item is $size B, larger than the 1.25·C chunk limit of $limit B")
     if (cur == -1 || bytes(cur) >= capacity || bytes(cur) + size > limit) open()
     itemChunk(item) = cur
     bytes(cur) += size
@@ -82,18 +94,25 @@ final class ChunkBuilder(capacity: Long, numItems: Int) {
     out
   }
 
-  def numChunks: Int = bytes.length
+  def numChunks: Int = chunks
 
   /** Bytes in the currently open chunk (0 if none). */
   def openBytes: Long = if (cur == -1) 0L else bytes(cur)
 
+  private def requireAssigned(): Unit = {
+    var i = 0
+    while (i < numItems && itemChunk(i) >= 0) i += 1
+    require(i == numItems, "unassigned items remain")
+  }
+
   def result(): Assignment = {
-    require(itemChunk.forall(_ >= 0), "unassigned items remain")
-    Assignment(itemChunk, bytes.length)
+    requireAssigned()
+    Assignment(itemChunk, chunks)
   }
 
   /** Merge the given partial chunks by relabeling their chunk ids, then
-    * compact ids — the fragmentation cleanup at the end of §3.2.
+    * compact ids — the fragmentation cleanup at the end of §3.2. The
+    * returned assignment shares `itemChunk`, relabelled in place.
     *
     * Partials are merged in *creation order*: the caller produces them
     * during a post-order traversal, so consecutive partials hold records of
@@ -103,28 +122,27 @@ final class ChunkBuilder(capacity: Long, numItems: Int) {
     * touches it.
     */
   def mergePartialsAndResult(partials: Seq[(Int, Long)]): Assignment = {
-    val groups = mutable.ArrayBuffer.empty[(mutable.ArrayBuffer[Int], Long)] // (chunk ids, bytes)
+    requireAssigned()
+    // each chunk's target: itself, or the first partial of its merge group
+    val target = Array.range(0, chunks)
+    var head = -1
+    var groupBytes = 0L
     for ((cid, sz) <- partials) {
-      if (groups.nonEmpty && groups.last._2 + sz <= limit) {
-        val (ids, b) = groups.last
-        ids += cid
-        groups(groups.length - 1) = (ids, b + sz)
-      } else groups += ((mutable.ArrayBuffer(cid), sz))
+      if (head != -1 && groupBytes + sz <= limit) { target(cid) = head; groupBytes += sz }
+      else { head = cid; groupBytes = sz }
     }
-    val remap = new Array[Int](bytes.length)
-    java.util.Arrays.fill(remap, -1)
-    for ((ids, _) <- groups; id <- ids) remap(id) = ids.head
-    // compact chunk ids
-    var next = 0
-    val compact = new Array[Int](bytes.length)
+    // compact chunk ids: a surviving chunk's new id is its rank by old id
+    val compact = new Array[Int](chunks)
     java.util.Arrays.fill(compact, -1)
-    def target(c: Int): Int = if (remap(c) == -1) c else remap(c)
-    for (c <- bytes.indices) {
-      val t = target(c)
-      if (compact(t) == -1) { compact(t) = next; next += 1 }
+    var next = 0
+    var c = 0
+    while (c < chunks) {
+      if (compact(target(c)) == -1) { compact(target(c)) = next; next += 1 }
+      c += 1
     }
-    require(itemChunk.forall(_ >= 0), "unassigned items remain")
-    Assignment(itemChunk.map(c => compact(target(c))), next)
+    var i = 0
+    while (i < numItems) { itemChunk(i) = compact(target(itemChunk(i))); i += 1 }
+    Assignment(itemChunk, next)
   }
 }
 
@@ -148,7 +166,12 @@ object Span {
     * sorted only when they do not already arrive ascending.
     */
   final class Images(f: Array[Int]) {
-    private val range = if (f.isEmpty) 0 else f.max + 1
+    private val range = {
+      var max = -1
+      var i = 0
+      while (i < f.length) { max = math.max(max, f(i)); i += 1 }
+      max + 1
+    }
     private val stamp = new Array[Int](range)
     private val buf = new Array[Int](range)
     private var tag = 0

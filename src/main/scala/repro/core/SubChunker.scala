@@ -26,7 +26,7 @@ final case class SubChunking(
     rawBytes: Long,
 ) {
   def numSubChunks: Int = scRepCk.length
-  def compressedBytes: Long = scSizes.sum
+  def compressedBytes: Long = java.util.Arrays.stream(scSizes).sum
   def compressionRatio: Double = rawBytes.toDouble / compressedBytes
 }
 
@@ -47,12 +47,17 @@ object SubChunker {
     val cks = ds.uniqueCks
     // at k = 1 every record is its own sub-chunk
     val (recordSc, reps, sizes) =
-      if (k == 1) (Array.range(0, cks.length), cks,
-        cks.map(RecordModel.subChunkCompressedSize(_, Nil, ds.spec)))
-      else groupByLineage(ds, k)
+      if (k == 1) {
+        val sizes = new Array[Long](cks.length)
+        var i = 0
+        while (i < cks.length) { sizes(i) = RecordModel.subChunkCompressedSize(cks(i), Nil, ds.spec); i += 1 }
+        (Array.range(0, cks.length), cks, sizes)
+      } else groupByLineage(ds, k)
 
-    // per original version: distinct sub-chunks touched
-    val scMembersOrig: Array[Array[Int]] = Span.images(ds.membersItems, recordSc)
+    // per original version: distinct sub-chunks touched; at k = 1 the
+    // identity image of a sorted, distinct row is the row itself
+    val scMembersOrig: Array[Array[Int]] =
+      if (k == 1) ds.membersItems else Span.images(ds.membersItems, recordSc)
 
     // transformed tree: drop versions whose sub-chunk set equals the
     // parent's (Fig 7's duplicate deletion); reattach to the nearest kept
@@ -83,7 +88,7 @@ object SubChunker {
       scSizes = sizes,
       scMembersOrig = scMembersOrig,
       input = PartitionInput(new VersionTree(tParent), tMembers, sizes),
-      rawBytes = ds.itemSizes.sum,
+      rawBytes = java.util.Arrays.stream(ds.itemSizes).sum,
     )
   }
 
@@ -93,7 +98,8 @@ object SubChunker {
   private def groupByLineage(ds: VersionedDataset, k: Int): (Array[Int], Array[Long], Array[Long]) = {
     val cks = ds.uniqueCks
     val n = cks.length
-    val recordSc = Array.fill(n)(-1)
+    val recordSc = new Array[Int](n)
+    java.util.Arrays.fill(recordSc, -1)
     val reps = mutable.ArrayBuffer.empty[Long]
     val sizes = mutable.ArrayBuffer.empty[Long]
 

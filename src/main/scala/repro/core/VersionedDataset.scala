@@ -16,12 +16,14 @@ final case class DatasetStats(
     totalBytes: Long,
 )
 
-/** A fully materialized multi-versioned dataset.
+/** A multi-versioned dataset.
   *
   * Holds the version tree, the per-edge deltas (`deltas(v)` derives `V_v`
   * from its parent; `deltas(0).adds` is the root's content), the lineage of
   * modified records (composite key → the composite key it modified), and the
-  * materialized per-version membership (sorted packed composite keys).
+  * per-version membership (sorted packed composite keys), materialised from
+  * the deltas on first use. A delta adds only records originating at its
+  * version, and deletes only records its parent holds.
   *
   * Dense *item ids* (`0 until uniqueCks.length`, in sorted-ck order) are the
   * unit the partitioning algorithms operate on when no sub-chunking is used.
@@ -33,21 +35,18 @@ final class VersionedDataset(
     val lineageMap: collection.Map[Long, Long],
 ) {
   require(deltas.length == tree.size)
-
-  /** Per-version membership: sorted packed composite keys. */
-  val members: Array[Array[Long]] = {
-    val m = new Array[Array[Long]](tree.size)
-    m(0) = deltas(0).adds
-    var v = 1
-    while (v < tree.size) { m(v) = deltas(v).applyTo(m(tree.parent(v))); v += 1 }
-    m
-  }
+  require(tree.size <= Ck.MaxVersions,
+    s"${tree.size} versions exceed the limit of ${Ck.MaxVersions} (2^${Ck.VersionBits}) a composite key can address")
 
   /** All distinct records, sorted. Every add creates a fresh composite key,
     * so this is exactly the concatenation of all deltas' adds.
     */
   val uniqueCks: Array[Long] = {
-    val out = deltas.iterator.flatMap(_.adds).toArray
+    var n = 0
+    for (d <- deltas) n += d.adds.length
+    val out = new Array[Long](n)
+    n = 0
+    for (d <- deltas) { System.arraycopy(d.adds, 0, out, n, d.adds.length); n += d.adds.length }
     java.util.Arrays.sort(out)
     var i = 1
     while (i < out.length && out(i - 1) != out(i)) i += 1
@@ -62,36 +61,102 @@ final class VersionedDataset(
     i
   }
 
-  lazy val itemSizes: Array[Long] = uniqueCks.map(RecordModel.size(_, spec))
+  lazy val itemSizes: Array[Long] = sizes() // a method: see `walk`
 
-  /** Per-version membership as dense item ids (sorted — ck order is id order). */
-  lazy val membersItems: Array[Array[Int]] = itemsByWalk()
-
-  /** `members` as item ids, top-down with one sorted walk per version against
-    * its parent: a record kept from the parent reuses the parent's id, and
-    * only the version's adds are looked up. (A method, not the lazy val's
-    * body: the JIT compiles these loops poorly inside the lazy val's lock.)
-    */
-  private def itemsByWalk(): Array[Array[Int]] = {
-    val out = new Array[Array[Int]](tree.size)
-    var v = 0
-    while (v < tree.size) {
-      val m = members(v)
-      val ids = new Array[Int](m.length)
-      val p = tree.parent(v)
-      val pm = if (p == -1) Array.emptyLongArray else members(p)
-      val pids = if (p == -1) Array.emptyIntArray else out(p)
-      var i = 0; var j = 0
-      while (i < m.length) {
-        while (j < pm.length && pm(j) < m(i)) j += 1
-        ids(i) = if (j < pm.length && pm(j) == m(i)) pids(j) else itemOf(m(i))
-        i += 1
-      }
-      out(v) = ids
-      v += 1
-    }
+  private def sizes(): Array[Long] = {
+    val out = new Array[Long](uniqueCks.length)
+    var i = 0
+    while (i < out.length) { out(i) = RecordModel.size(uniqueCks(i), spec); i += 1 }
     out
   }
+
+  // Both membership views; null until the first use of either fills them.
+  // Their holder's fields are final, so a thread that sees it sees them whole.
+  private[this] var rows: VersionedDataset.Rows = _
+
+  /** Per-version membership: sorted packed composite keys. */
+  def members: Array[Array[Long]] = { val r = rows; if (r ne null) r.keys else walked().keys }
+
+  /** Per-version membership as dense item ids, aligned with `members` (so
+    * sorted too — ck order is id order).
+    */
+  def membersItems: Array[Array[Int]] = { val r = rows; if (r ne null) r.items else walked().items }
+
+  /** Whether the membership walk has run. */
+  private[core] def isWalked: Boolean = rows ne null
+
+  private def walked(): VersionedDataset.Rows = synchronized {
+    if (rows eq null) rows = walk()
+    rows
+  }
+
+  /** Both membership views, top-down with one sorted walk per version over
+    * its parent's rows and its delta: a record kept from the parent carries
+    * its key and id along, and an add takes its id from `addIds`. (Its own
+    * method, outside the synchronized one: inside a lazy val's lock the JIT
+    * compiled such loops about 4× slower.)
+    */
+  private def walk(): VersionedDataset.Rows = {
+    val addIds = this.addIds()
+    val keys = new Array[Array[Long]](tree.size)
+    val items = new Array[Array[Int]](tree.size)
+    var v = 0
+    while (v < tree.size) {
+      val p = tree.parent(v)
+      val pk = if (p == -1) Array.emptyLongArray else keys(p)
+      val pi = if (p == -1) Array.emptyIntArray else items(p)
+      val adds = deltas(v).adds
+      val dels = deltas(v).dels
+      // every delete hits a parent record, so the row's length is known
+      val n = pk.length + adds.length - dels.length
+      if (n < 0) deletesAbsent(v)
+      val k = new Array[Long](n)
+      val it = new Array[Int](n)
+      var i = 0; var d = 0; var a = 0; var o = 0
+      while (i < pk.length || a < adds.length) {
+        if (i < pk.length && (a == adds.length || pk(i) <= adds(a))) {
+          if (d < dels.length && dels(d) == pk(i)) d += 1
+          else {
+            if (o == n) deletesAbsent(v)
+            k(o) = pk(i); it(o) = pi(i); o += 1
+          }
+          i += 1
+        } else {
+          if (o == n) deletesAbsent(v)
+          k(o) = adds(a); it(o) = addIds(v)(a); o += 1
+          a += 1
+        }
+      }
+      keys(v) = k
+      items(v) = it
+      v += 1
+    }
+    new VersionedDataset.Rows(keys, items)
+  }
+
+  /** Per version, the item ids of its delta's adds, by one pass over
+    * `uniqueCks` and no search: a record is added by the delta of its origin
+    * version, so the records originating at v, in ck order, are `adds(v)`.
+    */
+  private def addIds(): Array[Array[Int]] = {
+    val ids = new Array[Array[Int]](tree.size)
+    for (v <- ids.indices) ids(v) = new Array[Int](deltas(v).adds.length)
+    val filled = new Array[Int](tree.size)
+    var i = 0
+    while (i < uniqueCks.length) {
+      val ck = uniqueCks(i)
+      val v = Ck.version(ck)
+      if (v >= tree.size || filled(v) == ids(v).length || deltas(v).adds(filled(v)) != ck)
+        throw new IllegalArgumentException(s"record ${Ck.show(ck)} is not added by the delta of its origin version")
+      ids(v)(filled(v)) = i
+      filled(v) += 1
+      i += 1
+    }
+    ids
+  }
+
+  private def deletesAbsent(v: Int): Nothing =
+    throw new IllegalArgumentException(s"the delta of version $v deletes records its parent does not hold")
 
   /** Lineage parent of a modified record, if any. */
   def lineage(ck: Long): Option[Long] = lineageMap.get(ck)
@@ -205,6 +270,10 @@ final class VersionedDataset(
       .toSeq
       .toDF("key", "origin", "payload")
   }
+}
+
+object VersionedDataset {
+  private final class Rows(val keys: Array[Array[Long]], val items: Array[Array[Int]])
 }
 
 /** Conversion of a version DAG (merges) into a dataset over a version tree,

@@ -1,5 +1,7 @@
 package repro.data
 
+import repro.core.Ck
+
 /** Parameters of one synthetic versioned dataset (§5.1, Table 2).
   *
   * The paper's datasets are 30 GB–1 TB; we reproduce their *shape* at
@@ -37,6 +39,8 @@ final case class DatasetSpec(
     seed: Long = 42L,
 ) {
   require(nVersions >= 1 && rootRecords >= 1 && numBranches >= 1)
+  require(nVersions <= Ck.MaxVersions,
+    s"$nVersions versions exceed the limit of ${Ck.MaxVersions} (2^${Ck.VersionBits}) a composite key can address")
   require(updateFrac >= 0 && updateFrac <= 1 && pd > 0 && pd <= 1)
 
   def updateType: String = if (skewed) "Skewed" else "Random"

@@ -70,5 +70,6 @@ object RecordModel {
     * plus fixed per-record framing (§3.4, Fig 10's compression model).
     */
   def subChunkCompressedSize(rootCk: Long, others: Seq[Long], spec: DatasetSpec): Long =
-    size(rootCk, spec) + others.map(diffSize(_, spec)).sum + 16L * (1 + others.size)
+    if (others.isEmpty) size(rootCk, spec) + 16L // k = 1: no closure per record
+    else size(rootCk, spec) + others.map(diffSize(_, spec)).sum + 16L * (1 + others.size)
 }

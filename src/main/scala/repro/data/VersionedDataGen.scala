@@ -104,18 +104,18 @@ object VersionedDataGen {
         out.toArray
       }
 
-      val adds = Array.newBuilder[Long]
-      val dels = Array.newBuilder[Long]
+      val adds = new mutable.ArrayBuilder.ofLong
+      val dels = new mutable.ArrayBuilder.ofLong
       modVictims.foreach { idx => // modifications: new record, lineage to the old one
         val old = pm(idx)
         val neu = Ck.pack(Ck.key(old), v)
         lineage(neu) = old
-        adds += neu
-        dels += old
+        adds.addOne(neu)
+        dels.addOne(old)
       }
-      delVictims.foreach(idx => dels += pm(idx)) // deletions
+      delVictims.foreach(idx => dels.addOne(pm(idx))) // deletions
       var j = 0
-      while (j < nIns) { adds += Ck.pack(nextKey, v); nextKey += 1; j += 1 }
+      while (j < nIns) { adds.addOne(Ck.pack(nextKey, v)); nextKey += 1; j += 1 }
 
       val d = Delta(adds.result().sorted, dels.result().sorted)
       deltas(v) = d
@@ -123,8 +123,8 @@ object VersionedDataGen {
       v += 1
     }
 
-    // VersionedDataset replays the deltas to materialize membership; the
-    // local `members` array only served victim selection during generation.
+    // VersionedDataset replays the deltas when its membership is first
+    // used; the local `members` array only served victim selection here.
     new VersionedDataset(spec, tree, deltas, lineage)
   }
 }

@@ -347,4 +347,73 @@ object Experiments {
       OnlineRow(spec.name, b, n, online.toDouble / offline(n))
     }
   }
+
+  // -------------------------------------------------------------------------
+  // Layout fingerprints — pins "same layout" across refactors
+  // -------------------------------------------------------------------------
+
+  final case class FingerprintRow(datasetName: String, algorithm: String, k: Int,
+                                  numChunks: Int, totalSpan: Long, hash: Long)
+
+  /** The fingerprinted datasets, each with its chunk capacity: three small
+    * generated ones, A0, C0, and a DAG-converted one.
+    */
+  def fingerprintDatasets: Seq[(VersionedDataset, Long)] = {
+    val small = Seq(
+      DatasetSpec.tiny("t1", 20, 100, skewed = false, 1, seed = 1),
+      DatasetSpec.tiny("t2", 30, 120, skewed = true, 3, seed = 2),
+      DatasetSpec.tiny("t3", 40, 80, skewed = false, 5, seed = 3),
+    ).map(s => (dataset(s), 1024L))
+    val base = dataset(DatasetSpec.tiny("dag", 60, 150, skewed = false, 4, seed = 4))
+    val (dag, members) = mergedDag(base, every = 5)
+    small ++ Seq((dataset(DatasetSpec.A0), DefaultCapacity), (dataset(DatasetSpec.C0), DefaultCapacity),
+      (DagToTree.convert(dag, members, base.spec), 1024L))
+  }
+
+  /** `ds` as a version DAG: every `every`-th version whose tree parent is
+    * not the version just before it also merges that version, taking its
+    * records of the keys it lacks.
+    */
+  def mergedDag(ds: VersionedDataset, every: Int): (VersionDag, Array[Array[Long]]) = {
+    val n = ds.tree.size
+    val parents = Array.tabulate(n) { v =>
+      if (v == 0) Nil
+      else if (v % every == 0 && ds.tree.parent(v) != v - 1) List(ds.tree.parent(v), v - 1)
+      else List(ds.tree.parent(v))
+    }
+    val members = Array.tabulate(n) { v =>
+      if (parents(v).length < 2) ds.members(v)
+      else {
+        val own = ds.members(v).map(Ck.key).toSet
+        (ds.members(v) ++ ds.members(v - 1).filterNot(ck => own(Ck.key(ck)))).sorted
+      }
+    }
+    (new VersionDag(parents), members)
+  }
+
+  /** Order-sensitive hash of an item→chunk map. */
+  def fingerprint(itemChunk: Array[Int]): Long = {
+    var h = 0L
+    var i = 0
+    while (i < itemChunk.length) { h = Hash64(itemChunk(i).toLong, h); i += 1 }
+    h
+  }
+
+  /** Chunk count, total span and `itemChunk` hash of every partitioner
+    * (BottomUp at β = ∞ and 20, Shingle, DFS, BFS) at k ∈ {1, 3} on every
+    * fingerprinted dataset.
+    */
+  def layoutFingerprints(spark: SparkSession): Seq[FingerprintRow] = {
+    val ps = partitioners(spark).patch(1, Seq(new BottomUpPartitioner(20)), 0)
+    for {
+      (ds, capacity) <- fingerprintDatasets
+      k <- Seq(1, 3)
+      sc = SubChunker.build(ds, k)
+      p <- ps
+    } yield {
+      val a = p.partition(sc.input, capacity)
+      FingerprintRow(ds.spec.name, p.name, k, a.numChunks, Span.total(sc.scMembersOrig, a),
+        fingerprint(a.itemChunk))
+    }
+  }
 }

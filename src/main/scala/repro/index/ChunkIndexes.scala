@@ -3,6 +3,7 @@ package repro.index
 import repro.core.{Assignment, Ck, Span, SubChunking, VersionedDataset}
 
 import java.util.Arrays
+import scala.collection.mutable.ArrayBuilder
 
 /** The two lossy projections of the key×version×chunk matrix (Fig 3b) that
   * the application server keeps in memory, plus per-chunk sizes.
@@ -82,25 +83,26 @@ object ChunkIndexes {
   def build(ds: VersionedDataset, sc: SubChunking, a: Assignment): ChunkIndexes = {
     val image = new Span.Images(a.itemChunk)
     val versionToChunks = sc.scMembersOrig.map(image(_))
-    val keys = Array.newBuilder[Long]
-    val keyOff = Array.newBuilder[Int]
-    val keyChunks = Array.newBuilder[Int]
+    val keys = new ArrayBuilder.ofLong
+    val keyOff = new ArrayBuilder.ofInt
+    val keyChunks = new ArrayBuilder.ofInt
     val chunkOff = new Array[Int](a.numChunks + 1) // counts at c + 1, then offsets
     // uniqueCks is sorted by key: each key's records are one range of ids
     val cks = ds.uniqueCks
     var lo = 0
     var entries = 0
-    keyOff += 0
+    keyOff.addOne(0)
     while (lo < cks.length) {
       val key = Ck.key(cks(lo))
       var hi = lo
       while (hi < cks.length && Ck.key(cks(hi)) == key) hi += 1
       val cs = image(sc.recordSc, lo, hi) // the key's records are ids lo until hi
-      cs.foreach(c => chunkOff(c + 1) += 1)
-      keys += key
-      keyChunks ++= cs
+      var i = 0
+      while (i < cs.length) { chunkOff(cs(i) + 1) += 1; i += 1 }
+      keys.addOne(key)
+      keyChunks.addAll(cs)
       entries += cs.length
-      keyOff += entries
+      keyOff.addOne(entries)
       lo = hi
     }
     val (keyOffA, keyChunksA) = (keyOff.result(), keyChunks.result())

@@ -126,6 +126,12 @@ class SubChunkerSpec extends AnyFunSuite {
       assert(sub.scRepCk.toSeq == ds.uniqueCks.toSeq)
     }
 
+    test(s"${spec.name}: k=1 shares the dataset's item rows") {
+      val ds = VersionedDataGen.generate(spec)
+      val sub = SubChunker.build(ds, 1)
+      (0 until ds.tree.size).foreach(v => assert(sub.scMembersOrig(v) eq ds.membersItems(v), s"v=$v"))
+    }
+
     test(s"${spec.name}: compression ratio improves with k") {
       val ds = VersionedDataGen.generate(spec)
       val r1 = SubChunker.build(ds, 1).compressionRatio

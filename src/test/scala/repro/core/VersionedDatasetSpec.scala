@@ -148,11 +148,18 @@ class VersionedDatasetSpec extends AnyFunSuite {
     }
   }
 
-  /** `membersItems(v)` is `members(v)` mapped through `itemOf`. */
-  private def assertItemsAligned(ds: VersionedDataset): Unit =
+  /** `members(v)` is the replay of the deltas on the path to `v`, and
+    * `membersItems(v)` is `members(v)` mapped through `itemOf`.
+    */
+  private def assertItemsAligned(ds: VersionedDataset): Unit = {
+    val replay = new Array[Array[Long]](ds.tree.size)
     (0 until ds.tree.size).foreach { v =>
-      assert(ds.membersItems(v).toSeq == ds.members(v).map(ds.itemOf).toSeq, s"${ds.spec.name} v=$v")
+      val p = ds.tree.parent(v)
+      replay(v) = ds.deltas(v).applyTo(if (p == -1) Array.emptyLongArray else replay(p))
+      assert(ds.members(v).toSeq == replay(v).toSeq, s"${ds.spec.name} v=$v")
+      assert(ds.membersItems(v).toSeq == replay(v).map(ds.itemOf).toSeq, s"${ds.spec.name} v=$v")
     }
+  }
 
   test("membersItems matches itemOf on every version of generated datasets and prefixes") {
     for (spec <- specs ++ Seq(DatasetSpec.A0, DatasetSpec.C0)) {
@@ -176,6 +183,58 @@ class VersionedDatasetSpec extends AnyFunSuite {
       Array(ck(0, 0), ck(1, 0), ck(3, 2), ck(4, 4)),
     )
     assertItemsAligned(DagToTree.convert(dag, members, DatasetSpec("dag", 5, 2, 0.5, skewed = false, 2)))
+  }
+
+  test("membersItems matches itemOf on the layout fingerprints' DAG-converted dataset") {
+    val base = VersionedDataGen.generate(DatasetSpec.tiny("dag", 60, 150, skewed = false, 4, seed = 4))
+    val (dag, members) = repro.exp.Experiments.mergedDag(base, every = 5)
+    val ds = DagToTree.convert(dag, members, base.spec)
+    assertItemsAligned(ds)
+    Seq(1, 7, 30).foreach(n => assertItemsAligned(ds.prefix(n)))
+  }
+
+  test("generation leaves the membership walk unforced; either view forces both") {
+    val ds = VersionedDataGen.generate(specs.head)
+    assert(!ds.isWalked)
+    ds.uniqueCks
+    ds.tree.size
+    assert(!ds.isWalked)
+    ds.membersItems
+    assert(ds.isWalked)
+    val again = VersionedDataGen.generate(specs.head)
+    again.members
+    assert(again.isWalked)
+  }
+
+  test("a delta deleting a record its parent lacks is rejected") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    val deltas = Array(
+      Delta(Array(ck(0, 0), ck(1, 0)), Array.emptyLongArray),
+      Delta(Array(ck(2, 1)), Array(ck(1, 0), ck(5, 0))),
+    )
+    val ds = new VersionedDataset(
+      DatasetSpec("lacking", 2, 2, 0.5, skewed = false, 1), VersionTree.chain(2), deltas, Map.empty)
+    val e = intercept[IllegalArgumentException](ds.members)
+    assert(e.getMessage.contains("version 1"), e.getMessage)
+  }
+
+  test("a record added by a delta other than its origin version's is rejected") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    val deltas = Array(
+      Delta(Array(ck(0, 0)), Array.emptyLongArray),
+      Delta(Array(ck(1, 0)), Array.emptyLongArray),
+    )
+    val ds = new VersionedDataset(
+      DatasetSpec("misplaced", 2, 1, 0.5, skewed = false, 1), VersionTree.chain(2), deltas, Map.empty)
+    val e = intercept[IllegalArgumentException](ds.membersItems)
+    assert(e.getMessage.contains("<K1,V0>"), e.getMessage)
+  }
+
+  test("more than 2^20 versions are rejected up front, naming the limit") {
+    val e = intercept[IllegalArgumentException](
+      DatasetSpec("huge", Ck.MaxVersions + 1, 10, 0.1, skewed = false, 1))
+    assert(e.getMessage.contains("1048576"), e.getMessage)
+    assert(DatasetSpec("max", Ck.MaxVersions, 10, 0.1, skewed = false, 1).nVersions == Ck.MaxVersions)
   }
 
   test("a record added by two deltas is rejected, naming the record") {
