@@ -128,7 +128,8 @@ object OnlineJob {
 }
 
 /** Layout fingerprints: chunk count, total span and `itemChunk` hash per
-  * dataset, partitioner and k. Diff the output of two commits to check
+  * dataset, partitioner and k, then the sub-chunk fingerprints per dataset
+  * and k. Diff the output of two commits to check
   * that a change keeps every layout.
   */
 object LayoutFingerprintJob {
@@ -139,6 +140,10 @@ object LayoutFingerprintJob {
       Seq("Dataset", "Algorithm", "k", "Chunks", "Total span", "itemChunk hash"),
       rows.map(r => Seq(r.datasetName, r.algorithm, r.k.toString, r.numChunks.toString,
         r.totalSpan.toString, f"${r.hash}%016x"))))
+    println(TableFmt.render("Sub-chunk fingerprints",
+      Seq("Dataset", "k", "Sub-chunks", "Tree size", "Sub-chunking hash"),
+      Experiments.subChunkFingerprints.map(r => Seq(r.datasetName, r.k.toString, r.numSubChunks.toString,
+        r.treeSize.toString, f"${r.hash}%016x"))))
     spark.stop()
   }
 }

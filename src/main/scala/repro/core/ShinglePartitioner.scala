@@ -41,32 +41,65 @@ final class ShinglePartitioner(spark: SparkSession, numShingles: Int = 4, seed: 
       .collect()
   }
 
-  /** Items in shingle sort-order, computed on the driver. */
+  /** Items in shingle sort-order, computed on the driver.
+    *
+    * The shingles live in one flat array, `l` per item. The lexicographic
+    * order (shingles, then item id) comes from one stable pass per shingle,
+    * last to first, starting from item order: each pass sorts `Long` keys
+    * packed as (rank of the item's shingle << 32 | its position).
+    */
   def driverOrder(in: PartitionInput): Array[Int] = {
-    // shingles(item)(i) = min-hash h_i over the versions holding the item
-    val shingles = Array.fill(in.numItems, numShingles)(Long.MaxValue)
-    for (v <- in.members.indices; i <- 0 until numShingles) {
-      val h = Hash64(v.toLong, seed + i)
-      in.members(v).foreach(item => if (h < shingles(item)(i)) shingles(item)(i) = h)
-    }
-    val lex = new Ordering[Int] {
-      def compare(a: Int, b: Int): Int = {
-        var i = 0
-        while (i < numShingles) {
-          val c = java.lang.Long.compare(shingles(a)(i), shingles(b)(i))
-          if (c != 0) return c
-          i += 1
-        }
-        Integer.compare(a, b)
+    val n = in.numItems
+    val l = numShingles
+    // shingles(item·l + i) = min-hash h_i over the versions holding the item
+    val shingles = new Array[Long](n * l)
+    java.util.Arrays.fill(shingles, Long.MaxValue)
+    val h = new Array[Long](l)
+    var v = 0
+    while (v < in.members.length) {
+      var i = 0
+      while (i < l) { h(i) = Hash64(v.toLong, seed + i); i += 1 }
+      val row = in.members(v)
+      var j = 0
+      while (j < row.length) {
+        val base = row(j) * l
+        i = 0
+        while (i < l) { if (h(i) < shingles(base + i)) shingles(base + i) = h(i); i += 1 }
+        j += 1
       }
+      v += 1
     }
-    (0 until in.numItems).toArray.sorted(lex)
+    var order = Array.range(0, n)
+    var next = new Array[Int](n)
+    val column = new Array[Long](n)
+    val keys = new Array[Long](n)
+    var i = l - 1
+    while (i >= 0) {
+      var p = 0
+      while (p < n) { column(p) = shingles(p * l + i); p += 1 }
+      java.util.Arrays.sort(column)
+      p = 0
+      while (p < n) {
+        // a search of the same sorted column finds one index per value,
+        // and a larger value a larger index
+        val rank = java.util.Arrays.binarySearch(column, shingles(order(p) * l + i))
+        keys(p) = rank.toLong << 32 | p
+        p += 1
+      }
+      java.util.Arrays.sort(keys)
+      p = 0
+      while (p < n) { next(p) = order(keys(p).toInt); p += 1 }
+      val t = order; order = next; next = t
+      i -= 1
+    }
+    order
   }
 
   override def partition(in: PartitionInput, capacity: Long): Assignment = {
     val order = driverOrder(in)
     val cb = new ChunkBuilder(capacity, in.numItems)
-    order.foreach(item => cb.add(item, in.itemSizes(item)))
+    var p = 0
+    while (p < order.length) { cb.add(order(p), in.itemSizes(order(p))); p += 1 }
     cb.result()
   }
 }

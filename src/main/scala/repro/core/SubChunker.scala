@@ -2,8 +2,6 @@ package repro.core
 
 import repro.data.RecordModel
 
-import scala.collection.mutable
-
 /** Result of sub-chunk construction for a dataset at a given `k` (§3.4).
   *
   * @param recordSc      dataset item id (record) → sub-chunk id
@@ -94,69 +92,146 @@ object SubChunker {
 
   /** Connected groups of ≤k records per key (k > 1): record → sub-chunk,
     * and per sub-chunk its representative ck and compressed size.
+    *
+    * A record's lineage parent is searched only among the records of its
+    * key (a contiguous range of `uniqueCks`); records without one there are
+    * the roots of the key's lineage forest. Each root's tree is walked in
+    * post-order, children in descending item order, with an explicit stack.
+    * A pending bag (the connected group containing u not yet emitted) is a
+    * linked list through `next` with its `tail` and `len` kept at u. At u,
+    * its children's pending bags are merged largest-first (then lowest item)
+    * while the bag stays ≤ k; a child bag that does not fit is emitted, and
+    * so is u's bag once it reaches k or u is a root. Sub-chunk ids follow
+    * emission order.
     */
   private def groupByLineage(ds: VersionedDataset, k: Int): (Array[Int], Array[Long], Array[Long]) = {
     val cks = ds.uniqueCks
     val n = cks.length
-    val recordSc = new Array[Int](n)
-    java.util.Arrays.fill(recordSc, -1)
-    val reps = mutable.ArrayBuffer.empty[Long]
-    val sizes = mutable.ArrayBuffer.empty[Long]
-
-    def emit(group: Seq[Int]): Unit = {
-      // root-most member: the one whose origin has minimal tree depth
-      val root = group.minBy(i => (ds.tree.depth(Ck.version(cks(i))), cks(i)))
-      val sc = reps.length
-      group.foreach(recordSc(_) = sc)
-      reps += cks(root)
-      sizes += RecordModel.subChunkCompressedSize(
-        cks(root), group.filterNot(_ == root).map(cks(_)), ds.spec)
-    }
-
-    // per-key lineage forest; uniqueCks is sorted by key, so records of a
-    // key are a contiguous range
+    // lineage parent within the key's range, or -1 for a root
+    val parent = new Array[Int](n)
     var lo = 0
     while (lo < n) {
-      var hi = lo
       val key = Ck.key(cks(lo))
+      var hi = lo + 1
       while (hi < n && Ck.key(cks(hi)) == key) hi += 1
-      groupKey(ds, cks, lo, hi, k, emit)
+      var i = lo
+      while (i < hi) {
+        // `lineage` (`LongMap.get`), not `lineageMap.getOrElse`: every query
+        // calls `LongMap.getOrElse` in `SimulatedKVS.get`, always with a
+        // present key, and feeding it absent keys here changed how the JIT
+        // compiled it (perfbench `q1_p99_us` +16 % after such an ingest)
+        val j = ds.lineage(cks(i)) match {
+          case Some(p) => java.util.Arrays.binarySearch(cks, lo, hi, p)
+          case None => -1
+        }
+        parent(i) = if (j < 0) -1 else j
+        i += 1
+      }
       lo = hi
     }
-    require(recordSc.forall(_ >= 0), "record left without a sub-chunk")
-    (recordSc, reps.toArray, sizes.toArray)
-  }
+    // CSR child lists, filled from the highest item down so each list is in
+    // descending item order
+    val start = new Array[Int](n + 1)
+    var i = 0
+    while (i < n) { if (parent(i) >= 0) start(parent(i) + 1) += 1; i += 1 }
+    i = 0
+    while (i < n) { start(i + 1) += start(i); i += 1 }
+    val child = new Array[Int](start(n))
+    val fill = java.util.Arrays.copyOf(start, n)
+    i = n - 1
+    while (i >= 0) {
+      val p = parent(i)
+      if (p >= 0) { child(fill(p)) = i; fill(p) += 1 }
+      i -= 1
+    }
 
-  /** Group the records of one key (items `lo until hi`) into connected
-    * sub-chunks of ≤k, walking the lineage forest bottom-up.
-    */
-  private def groupKey(ds: VersionedDataset, cks: Array[Long], lo: Int, hi: Int,
-                       k: Int, emit: Seq[Int] => Unit): Unit = {
-    val idx = mutable.LongMap.empty[Int] // ck -> item id
-    for (i <- lo until hi) idx(cks(i)) = i
-    val children = mutable.HashMap.empty[Int, List[Int]]
-    val rootsB = mutable.ArrayBuffer.empty[Int]
-    for (i <- lo until hi) {
-      ds.lineage(cks(i)).flatMap(idx.get) match {
-        case Some(p) => children(p) = i :: children.getOrElse(p, Nil)
-        case None    => rootsB += i
+    val recordSc = new Array[Int](n)
+    val reps = new Array[Long](n)
+    val sizes = new Array[Long](n)
+    var numSc = 0
+    var grouped = 0
+    val next = fill // reused: a bag's links; -1 ends it
+    val tail = new Array[Int](n)
+    val len = new Array[Int](n) // > 0 while the bag at u is pending
+    val depth = ds.tree.depth
+    val spec = ds.spec
+
+    def emit(head: Int): Unit = {
+      // the root-most member: minimal origin depth, then minimal ck
+      var root = head
+      var dr = depth(Ck.version(cks(head)))
+      var u = next(head)
+      while (u != -1) {
+        val du = depth(Ck.version(cks(u)))
+        if (du < dr || (du == dr && cks(u) < cks(root))) { root = u; dr = du }
+        u = next(u)
       }
-    }
-    // bottom-up accumulation: pend(u) = connected group containing u not yet
-    // emitted; children's pends are merged largest-first while ≤ k
-    val pend = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    def visit(u: Int): Unit = {
-      children.getOrElse(u, Nil).foreach(visit)
-      val bag = mutable.ArrayBuffer(u)
-      val kids = children.getOrElse(u, Nil)
-        .flatMap(pend.remove) // children that hit k already emitted their bag
-        .sortBy(b => (-b.length, cks(b.head)))
-      kids.foreach { kb =>
-        if (bag.length + kb.length <= k) bag ++= kb
-        else emit(kb.toSeq)
+      var size = RecordModel.size(cks(root), spec) + 16L * len(head)
+      u = head
+      while (u != -1) {
+        recordSc(u) = numSc
+        if (u != root) size += RecordModel.diffSize(cks(u), spec)
+        u = next(u)
       }
-      if (bag.length >= k) emit(bag.toSeq) else pend(u) = bag
+      reps(numSc) = cks(root)
+      sizes(numSc) = size
+      numSc += 1
+      grouped += len(head)
+      len(head) = 0
     }
-    rootsB.foreach { r => visit(r); pend.remove(r).foreach(b => emit(b.toSeq)) }
+
+    // u's children are all visited: gather u's bag
+    def post(u: Int): Unit = {
+      next(u) = -1; tail(u) = u; len(u) = 1
+      // the children with a pending bag, compacted into u's CSR slice
+      // (no longer needed) and insertion-sorted by (length desc, item asc)
+      val from = start(u)
+      var m = from
+      var c = from
+      while (c < start(u + 1)) {
+        val b = child(c)
+        if (len(b) > 0) {
+          var j = m
+          while (j > from && (len(child(j - 1)) < len(b) || (len(child(j - 1)) == len(b) && child(j - 1) > b))) {
+            child(j) = child(j - 1); j -= 1
+          }
+          child(j) = b
+          m += 1
+        }
+        c += 1
+      }
+      c = from
+      while (c < m) {
+        val b = child(c)
+        if (len(u) + len(b) <= k) {
+          next(tail(u)) = b; tail(u) = tail(b); len(u) += len(b); len(b) = 0
+        } else emit(b)
+        c += 1
+      }
+      if (len(u) >= k || parent(u) == -1) emit(u)
+    }
+
+    // post-order from each root in item order; `cursor(u)` is the next of
+    // u's children to visit
+    val stack = new Array[Int](n)
+    val cursor = tail // reused: a node's tail is set only at its post step
+    var r = 0
+    while (r < n) {
+      if (parent(r) == -1) {
+        var top = 0
+        stack(0) = r; cursor(r) = start(r)
+        while (top >= 0) {
+          val u = stack(top)
+          if (cursor(u) < start(u + 1)) {
+            val c = child(cursor(u))
+            cursor(u) += 1
+            top += 1; stack(top) = c; cursor(c) = start(c)
+          } else { post(u); top -= 1 }
+        }
+      }
+      r += 1
+    }
+    if (grouped != n) throw new IllegalArgumentException("record left without a sub-chunk")
+    (recordSc, java.util.Arrays.copyOf(reps, numSc), java.util.Arrays.copyOf(sizes, numSc))
   }
 }

@@ -166,10 +166,10 @@ final class VersionedDataset(
     * cks sort primarily by key.
     */
   def recordsOfKey(key: Long): Array[Long] = {
-    var i = Ck.lowerBound(uniqueCks, key)
-    val out = Array.newBuilder[Long]
-    while (i < uniqueCks.length && Ck.key(uniqueCks(i)) == key) { out += uniqueCks(i); i += 1 }
-    out.result()
+    val lo = Ck.lowerBound(uniqueCks, key)
+    var hi = lo
+    while (hi < uniqueCks.length && Ck.key(uniqueCks(hi)) == key) hi += 1
+    java.util.Arrays.copyOfRange(uniqueCks, lo, hi)
   }
 
   /** The record for `key` live in version `v` (the version-to-record

@@ -399,6 +399,20 @@ object Experiments {
     h
   }
 
+  final case class SubChunkRow(datasetName: String, k: Int, numSubChunks: Int, treeSize: Int, hash: Long)
+
+  /** Sub-chunk count, transformed-tree size and a hash over `recordSc`,
+    * `scRepCk` and `scSizes` of `SubChunker.build` at k ∈ {3, 10} on every
+    * fingerprinted dataset.
+    */
+  def subChunkFingerprints: Seq[SubChunkRow] =
+    for ((ds, _) <- fingerprintDatasets; k <- Seq(3, 10)) yield {
+      val sc = SubChunker.build(ds, k)
+      var h = fingerprint(sc.recordSc)
+      for (x <- sc.scRepCk ++ sc.scSizes) h = Hash64(x, h)
+      SubChunkRow(ds.spec.name, k, sc.numSubChunks, sc.input.tree.size, h)
+    }
+
   /** Chunk count, total span and `itemChunk` hash of every partitioner
     * (BottomUp at β = ∞ and 20, Shingle, DFS, BFS) at k ∈ {1, 3} on every
     * fingerprinted dataset.

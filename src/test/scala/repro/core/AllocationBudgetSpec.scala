@@ -52,4 +52,30 @@ class AllocationBudgetSpec extends AnyFunSuite {
     info(s"$bytes B allocated; budget $budget B ($entries entries, ${ds.uniqueCks.length} items)")
     assert(bytes <= budget)
   }
+
+  test("SubChunker at k = 10 allocates at most 8 B per membership entry and 96 B per item") {
+    ds.itemSizes
+    val bytes = allocated(SubChunker.build(ds, 10))
+    // per entry: the rows of sub-chunk ids, at most one Int per record;
+    // per item: its lineage lookup (a boxed key, and a `Some` if modified),
+    // its lineage parent, child slot and offset, bag links, stack slot and
+    // sub-chunk id (4 B each), a presized representative and size (8 B
+    // each) and their trimmed copies
+    val items = ds.uniqueCks.length
+    val budget = 8 * entries + 96L * items
+    info(s"$bytes B allocated; budget $budget B ($entries entries, $items items)")
+    assert(bytes <= budget)
+  }
+
+  test("Shingle's driver order allocates at most 8·l + 64 B per item") {
+    val in = SubChunker.build(ds, 3).input
+    val l = 4
+    val p = new ShinglePartitioner(null, numShingles = l) // driverOrder needs no session
+    val bytes = allocated(p.driverOrder(in))
+    // per item: its l shingles (8 B each), one shingle column and one sort
+    // key (8 B each) and two order arrays (4 B each), with room to spare
+    val budget = (8L * l + 64) * in.numItems
+    info(s"$bytes B allocated; budget $budget B (${in.numItems} items, l = $l)")
+    assert(bytes <= budget)
+  }
 }

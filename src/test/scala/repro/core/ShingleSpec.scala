@@ -24,6 +24,40 @@ class ShingleSpec extends SparkSpec {
     assert(p.sparkOrder(subChunkIn).toSeq == p.driverOrder(subChunkIn).toSeq)
   }
 
+  /** 400 items in 9 classes over 12 versions: the items of a class share
+    * one version set, and 13 items belong to no version.
+    */
+  private lazy val tiedIn = {
+    val n = 400
+    def cls(item: Int): Int = (Hash64.nonNeg(item.toLong, 9) % 9).toInt
+    val members = Array.tabulate(12)(v => (0 until n).filter(i => i >= 13 && (v * 7 + cls(i)) % 3 != 0).toArray)
+    PartitionInput(VersionTree.chain(12), members, Array.fill(n)(100L))
+  }
+
+  /** The shingle order as a boxed lexicographic comparator over per-item
+    * shingle vectors, then item id.
+    */
+  private def referenceOrder(in: PartitionInput, l: Int, seed: Long = 0x5417L): Seq[Int] = {
+    val sh = Array.fill(in.numItems, l)(Long.MaxValue)
+    for (v <- in.members.indices; i <- 0 until l; item <- in.members(v))
+      sh(item)(i) = math.min(sh(item)(i), Hash64(v.toLong, seed + i))
+    val lex = new Ordering[Int] {
+      def compare(a: Int, b: Int): Int =
+        (0 until l).map(i => java.lang.Long.compare(sh(a)(i), sh(b)(i))).find(_ != 0).getOrElse(Integer.compare(a, b))
+    }
+    (0 until in.numItems).sorted(lex)
+  }
+
+  test("driver order breaks shingle ties by item id, as the lexicographic comparator does") {
+    for (l <- Seq(1, 4, 6)) {
+      val p = new ShinglePartitioner(spark, numShingles = l)
+      assert(p.driverOrder(tiedIn).toSeq == referenceOrder(tiedIn, l), s"l = $l")
+      assert(p.driverOrder(in).toSeq == referenceOrder(in, l), s"l = $l")
+    }
+    // the Spark job groups (item, version) rows, so it omits items in no version
+    assert(new ShinglePartitioner(spark).sparkOrder(tiedIn).toSeq == referenceOrder(tiedIn, 4).filter(_ >= 13))
+  }
+
   test("order is a permutation of all items") {
     val p = new ShinglePartitioner(spark)
     assert(p.sparkOrder(in).sorted.toSeq == (0 until in.numItems))

@@ -56,6 +56,20 @@ class VersionedDatasetSpec extends AnyFunSuite {
     assert(ds.recordsOfKey(3L).map(Ck.version).toSeq == Seq(0, 1, 2, 4))
   }
 
+  test("recordsOfKey equals a filter over uniqueCks for present, absent and out-of-range keys") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    // keys 1, 4 and 9: 0 and 2 are absent inside the range, 10 is past it
+    val gapped = new VersionedDataset(DatasetSpec("gapped", 2, 3, 0.5, skewed = false, 1), VersionTree.chain(2),
+      Array(Delta(Array(ck(1, 0), ck(4, 0), ck(9, 0)), Array.emptyLongArray),
+        Delta(Array(ck(4, 1)), Array(ck(4, 0)))), Map.empty)
+    for (ds <- Seq(VersionedDataGen.generate(DatasetSpec.tiny("q3", 30, 120, skewed = true, 3, seed = 2)), gapped)) {
+      val keys = ds.uniqueCks.map(Ck.key).distinct
+      val absent = (0L to keys.max + 1).find(!keys.contains(_)).get
+      for (key <- keys.toSeq ++ Seq(0L, 2L, absent, keys.max + 1, Ck.KeyLimit - 1, Ck.KeyLimit, -1L))
+        assert(ds.recordsOfKey(key).toSeq == ds.uniqueCks.filter(Ck.key(_) == key).toSeq, s"${ds.spec.name} key $key")
+    }
+  }
+
   val specs: Seq[DatasetSpec] = Seq(
     DatasetSpec.tiny("t1", 20, 100, skewed = false, 1, seed = 1),
     DatasetSpec.tiny("t2", 30, 120, skewed = true, 3, seed = 2),

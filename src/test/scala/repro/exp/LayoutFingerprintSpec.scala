@@ -4,9 +4,9 @@ import repro.SparkSpec
 
 /** Golden layout fingerprints: chunk count, total span and a hash of
   * `itemChunk` for every partitioner at k ∈ {1, 3} on the datasets of
-  * `Experiments.fingerprintDatasets`. A change that keeps every layout
-  * keeps these values; `repro.jobs.LayoutFingerprintJob` prints the same
-  * table.
+  * `Experiments.fingerprintDatasets`, and the sub-chunking itself at
+  * k ∈ {3, 10}. A change that keeps every layout keeps these values;
+  * `repro.jobs.LayoutFingerprintJob` prints the same tables.
   */
 class LayoutFingerprintSpec extends SparkSpec {
 
@@ -75,6 +75,28 @@ class LayoutFingerprintSpec extends SparkSpec {
       |dag BreadthFirst 3 148 2112 40761d3e70b66888
       |""".stripMargin.trim.linesIterator.toSeq
 
+  // dataset, k, sub-chunks, transformed-tree size, hash over recordSc,
+  // scRepCk and scSizes
+  private val goldenSubChunks: Seq[String] =
+    """
+      |t1 3 201 20 f5520e5e975351a2
+      |t1 10 138 20 aaed5797b4dcddca
+      |t2 3 388 30 800b161bcca8bcff
+      |t2 10 243 30 97ceae43c9c125b1
+      |t3 3 353 40 4723663bb6039bc2
+      |t3 10 186 40 ed5669c6684667cd
+      |A0 3 21258 60 cc415a5ed13bd8b3
+      |A0 10 10011 60 fbe5b1b5a3089dcb
+      |C0 3 21059 1000 963fdc6afcc7a468
+      |C0 10 14284 1000 326faa7b48ed7895
+      |dag 3 1972 60 e72f20df0078c0b1
+      |dag 10 1972 60 e72f20df0078c0b1
+      |""".stripMargin.trim.linesIterator.toSeq
+
+  private lazy val actualSubChunks: Seq[String] = Experiments.subChunkFingerprints.map { r =>
+    f"${r.datasetName} ${r.k} ${r.numSubChunks} ${r.treeSize} ${r.hash}%016x"
+  }
+
   private lazy val actual: Seq[String] = Experiments.layoutFingerprints(spark).map { r =>
     f"${r.datasetName} ${r.algorithm} ${r.k} ${r.numChunks} ${r.totalSpan} ${r.hash}%016x"
   }
@@ -83,6 +105,14 @@ class LayoutFingerprintSpec extends SparkSpec {
     test(s"$name: layouts match the golden fingerprints") {
       val want = golden.filter(_.startsWith(s"$name "))
       val got = actual.filter(_.startsWith(s"$name "))
+      assert(got == want, s"\n got: ${got.mkString("\n      ")}\nwant: ${want.mkString("\n      ")}")
+    }
+  }
+
+  for (name <- goldenSubChunks.map(_.split(' ').head).distinct) {
+    test(s"$name: sub-chunking matches the golden fingerprints") {
+      val want = goldenSubChunks.filter(_.startsWith(s"$name "))
+      val got = actualSubChunks.filter(_.startsWith(s"$name "))
       assert(got == want, s"\n got: ${got.mkString("\n      ")}\nwant: ${want.mkString("\n      ")}")
     }
   }
