@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetSpec
 import repro.exp.{Experiments, TableFmt}
 
@@ -15,10 +15,10 @@ import repro.exp.{Experiments, TableFmt}
   *    (Factor 2) and span falls (branched datasets C0/D0);
   *  - for the linear-chain dataset A, Factor 2 dominates earlier.
   */
-class CompressionSweepBench extends SparkSpec {
+class CompressionSweepBench extends AnyFunSuite {
 
   private val bases = Seq(DatasetSpec.A2, DatasetSpec.C0, DatasetSpec.D0)
-  private lazy val all = bases.map(b => b.name -> Experiments.compressionSweep(spark, b)).toMap
+  private lazy val all = bases.map(b => b.name -> Experiments.compressionSweep(b)).toMap
 
   private def rows(ds: String) = all(ds)
   private def span(ds: String, pd: Int, k: Int, algo: String): Long =

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetSpec
 import repro.exp.{Experiments, TableFmt}
 
@@ -14,10 +14,10 @@ import repro.exp.{Experiments, TableFmt}
   *  - Q3 improves as sub-chunk size grows; SUBCHUNK wins Q3 outright but
   *    is catastrophic for Q1 (A0: 4075 s vs seconds for the others).
   */
-class QueryPerfBench extends SparkSpec {
+class QueryPerfBench extends AnyFunSuite {
 
   private val specs = Seq(DatasetSpec.A0, DatasetSpec.C0)
-  private lazy val all = specs.map(s => s.name -> Experiments.queryPerf(spark, s)).toMap
+  private lazy val all = specs.map(s => s.name -> Experiments.queryPerf(s)).toMap
 
   private def secs(ds: String, q: String, k: Int, algo: String): Double =
     all(ds).find(r => r.query == q && r.k == k && r.algorithm == algo).get.secs

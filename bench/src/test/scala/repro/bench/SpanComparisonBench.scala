@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetSpec
 import repro.exp.{Experiments, TableFmt}
 
@@ -15,9 +15,9 @@ import repro.exp.{Experiments, TableFmt}
   *  - BFS is never better than DFS (equal on chains);
   *  - BOTTOM-UP is the only uniformly strong technique.
   */
-class SpanComparisonBench extends SparkSpec {
+class SpanComparisonBench extends AnyFunSuite {
 
-  private lazy val rows = Experiments.spanComparison(spark, DatasetSpec.table2)
+  private lazy val rows = Experiments.spanComparison(DatasetSpec.table2)
   private def span(ds: String, algo: String): Long =
     rows.find(r => r.datasetName == ds && r.algorithm == algo).get.totalSpan
 

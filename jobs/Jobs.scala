@@ -1,18 +1,7 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.data.DatasetSpec
 import repro.exp.{Experiments, TableFmt}
-
-/** Shared session bootstrap for the spark-submit entrypoints. */
-object JobSession {
-  def local(): SparkSession =
-    SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("rstore-repro")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-}
 
 /** §2.3 chunk-size microbenchmark table. */
 object TooManyQueriesJob {
@@ -52,12 +41,10 @@ object DatasetsTableJob {
 /** Fig 8 — total version span per algorithm and dataset. */
 object VersionSpanJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    val rows = Experiments.spanComparison(spark, DatasetSpec.table2)
+    val rows = Experiments.spanComparison(DatasetSpec.table2)
     println(TableFmt.render("Fig 8 — total version span (no compression)",
       Seq("Dataset", "Algorithm", "Total span"),
       rows.map(r => Seq(r.datasetName, r.algorithm, r.totalSpan.toString))))
-    spark.stop()
   }
 }
 
@@ -75,29 +62,25 @@ object BetaSweepJob {
 /** Fig 10 — compression sweep. */
 object CompressionSweepJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
     for (base <- Seq(DatasetSpec.A2, DatasetSpec.C0, DatasetSpec.D0)) {
-      val rows = Experiments.compressionSweep(spark, base)
+      val rows = Experiments.compressionSweep(base)
       println(TableFmt.render(s"Fig 10 — span & compression vs sub-chunk size (${base.name})",
         Seq("Pd%", "k", "Algorithm", "Total span", "Compression"),
         rows.map(r => Seq(r.pdPct.toString, r.k.toString, r.algorithm,
           r.totalSpan.toString, f"${r.ratio}%.2f"))))
     }
-    spark.stop()
   }
 }
 
 /** Fig 11 — query processing performance. */
 object QueryPerfJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
     for (spec <- Seq(DatasetSpec.A0, DatasetSpec.C0)) {
-      val rows = Experiments.queryPerf(spark, spec)
+      val rows = Experiments.queryPerf(spec)
       println(TableFmt.render(s"Fig 11 — query times (${spec.name}, simulated secs)",
         Seq("Query", "k", "Algorithm", "Secs"),
         rows.map(r => Seq(r.query, r.k.toString, r.algorithm, f"${r.secs}%.4f"))))
     }
-    spark.stop()
   }
 }
 
@@ -134,8 +117,7 @@ object OnlineJob {
   */
 object LayoutFingerprintJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    val rows = Experiments.layoutFingerprints(spark)
+    val rows = Experiments.layoutFingerprints
     println(TableFmt.render("Layout fingerprints",
       Seq("Dataset", "Algorithm", "k", "Chunks", "Total span", "itemChunk hash"),
       rows.map(r => Seq(r.datasetName, r.algorithm, r.k.toString, r.numChunks.toString,
@@ -144,6 +126,5 @@ object LayoutFingerprintJob {
       Seq("Dataset", "k", "Sub-chunks", "Tree size", "Sub-chunking hash"),
       Experiments.subChunkFingerprints.map(r => Seq(r.datasetName, r.k.toString, r.numSubChunks.toString,
         r.treeSize.toString, f"${r.hash}%016x"))))
-    spark.stop()
   }
 }

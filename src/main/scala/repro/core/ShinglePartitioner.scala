@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Shingle (min-hash) based partitioning (§3.1, Algorithms 1–2).
   *
   * For each item, the set of versions it belongs to is summarized by `l`
@@ -12,34 +9,17 @@ import org.apache.spark.sql.functions._
   *
   * `partition` computes and sorts the shingles on the driver (`driverOrder`):
   * at the scales run here that is more than an order of magnitude faster
-  * than shipping the (item, version) relation to Spark. `sparkOrder`
-  * expresses the same computation as a Spark DataFrame job (groupBy +
-  * min-aggregates + orderBy, same hash family); it is kept only as an
-  * independent cross-check that the tests compare against the driver order.
+  * than shipping the (item, version) relation to Spark. The same computation
+  * as a DataFrame job, `SparkQueries.shingleOrder`, is a test cross-check.
   */
-final class ShinglePartitioner(spark: SparkSession, numShingles: Int = 4, seed: Long = 0x5417L)
+final class ShinglePartitioner(val numShingles: Int = 4, val seed: Long = 0x5417L)
     extends Partitioner {
   override val name: String = "Shingle"
 
-  /** Items in shingle sort-order, computed with Spark (test cross-check). */
-  def sparkOrder(in: PartitionInput): Array[Int] = {
-    import spark.implicits._
-    val rows: Seq[(Int, Int)] = (for {
-      v <- in.members.indices.iterator
-      item <- in.members(v).iterator
-    } yield (item, v)).toSeq
-    val df: DataFrame = rows.toDF("item", "version")
-    val s = seed // local copy: the udf closure must not capture `this` (holds the session)
-    val h = udf((v: Int, i: Int) => Hash64(v.toLong, s + i))
-    val aggs = (0 until numShingles).map(i => min(h($"version", lit(i))).as(s"h$i"))
-    val sortCols = (0 until numShingles).map(i => col(s"h$i")) :+ col("item")
-    df.groupBy($"item")
-      .agg(aggs.head, aggs.tail: _*)
-      .orderBy(sortCols: _*)
-      .select($"item")
-      .as[Int]
-      .collect()
-  }
+  /** Only for perfbench, which still passes a session; the benchmark change
+    * that stops perfbench from starting Spark deletes this constructor.
+    */
+  def this(session: org.apache.spark.sql.SparkSession) = this()
 
   /** Items in shingle sort-order, computed on the driver.
     *

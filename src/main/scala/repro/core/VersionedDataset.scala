@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{DatasetSpec, RecordModel}
 
 /** Summary statistics of a dataset — the columns of Table 2. */
@@ -248,27 +247,6 @@ final class VersionedDataset(
     if (n == tree.size) this
     else new VersionedDataset(spec.copy(name = s"${spec.name}[0,$n)"),
       new VersionTree(tree.parent.take(n)), deltas.take(n), lineageMap)
-  }
-
-  // ---- DataFrame exports -----------------------------------------------------
-
-  /** `(version, key, origin)` — one row per record-in-version. */
-  def membershipDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val rows = for {
-      v <- members.indices.iterator
-      ck <- members(v).iterator
-    } yield (v, Ck.key(ck), Ck.version(ck))
-    rows.toSeq.toDF("version", "key", "origin")
-  }
-
-  /** `(key, origin, payload)` — with materialized JSON; small datasets only. */
-  def payloadsDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    uniqueCks.iterator
-      .map(ck => (Ck.key(ck), Ck.version(ck), payload(ck)))
-      .toSeq
-      .toDF("key", "origin", "payload")
   }
 }
 

@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.{DatasetSpec, RecordModel, VersionedDataGen}
 import repro.index.ChunkIndexes
@@ -25,9 +24,9 @@ object Experiments {
   def dataset(spec: DatasetSpec): VersionedDataset =
     cache.synchronized(cache.getOrElseUpdate(spec, VersionedDataGen.generate(spec)))
 
-  def partitioners(spark: SparkSession): Seq[Partitioner] = Seq(
+  def partitioners: Seq[Partitioner] = Seq(
     new BottomUpPartitioner(),
-    new ShinglePartitioner(spark),
+    new ShinglePartitioner(),
     TraversalPartitioner.dfs,
     TraversalPartitioner.bfs,
   )
@@ -169,12 +168,11 @@ object Experiments {
 
   final case class SpanRow(datasetName: String, algorithm: String, totalSpan: Long)
 
-  def spanComparison(spark: SparkSession, specs: Seq[DatasetSpec],
-                     capacity: Long = DefaultCapacity): Seq[SpanRow] =
+  def spanComparison(specs: Seq[DatasetSpec], capacity: Long = DefaultCapacity): Seq[SpanRow] =
     specs.flatMap { spec =>
       val ds = dataset(spec)
       val in = PartitionInput(ds.tree, ds.membersItems, ds.itemSizes)
-      val algoRows = partitioners(spark).map { p =>
+      val algoRows = partitioners.map { p =>
         SpanRow(spec.name, p.name, Span.total(in.members, p.partition(in, capacity)))
       }
       algoRows :+ SpanRow(spec.name, "Delta", new DeltaLayout(ds, capacity).totalVersionSpan)
@@ -206,7 +204,7 @@ object Experiments {
   final case class CompressionRow(datasetName: String, pdPct: Int, k: Int,
                                   algorithm: String, totalSpan: Long, ratio: Double)
 
-  def compressionSweep(spark: SparkSession, base: DatasetSpec,
+  def compressionSweep(base: DatasetSpec,
                        pds: Seq[Double] = Seq(0.10, 0.05, 0.01),
                        ks: Seq[Int] = Seq(1, 5, 10, 25, 50),
                        capacity: Long = DefaultCapacity): Seq[CompressionRow] =
@@ -216,7 +214,7 @@ object Experiments {
       ds = dataset(spec)
       k <- ks
       sub = SubChunker.build(ds, k)
-      p <- partitioners(spark).filterNot(_.name == "BreadthFirst")
+      p <- partitioners.filterNot(_.name == "BreadthFirst")
     } yield {
       val a = p.partition(sub.input, capacity)
       CompressionRow(base.name, (pd * 100).toInt, k, p.name,
@@ -230,7 +228,7 @@ object Experiments {
   final case class QueryPerfRow(datasetName: String, query: String, k: Int,
                                 algorithm: String, secs: Double)
 
-  def queryPerf(spark: SparkSession, spec: DatasetSpec,
+  def queryPerf(spec: DatasetSpec,
                 ks: Seq[Int] = Seq(1, 5, 10, 25, 50),
                 capacity: Long = DefaultCapacity,
                 nQ1: Int = 50, nQ3: Int = 100, seed: Long = 23L): Seq[QueryPerfRow] = {
@@ -247,7 +245,7 @@ object Experiments {
     val cost = CostModel()
 
     val rows = mutable.ArrayBuffer.empty[QueryPerfRow]
-    for (k <- ks; p <- partitioners(spark).filterNot(_.name == "BreadthFirst")) {
+    for (k <- ks; p <- partitioners.filterNot(_.name == "BreadthFirst")) {
       val sub = SubChunker.build(ds, k)
       val a = p.partition(sub.input, capacity)
       val qp = new QueryProcessor(ds, sub, a, new SimulatedKVS(1, cost))
@@ -417,8 +415,8 @@ object Experiments {
     * (BottomUp at β = ∞ and 20, Shingle, DFS, BFS) at k ∈ {1, 3} on every
     * fingerprinted dataset.
     */
-  def layoutFingerprints(spark: SparkSession): Seq[FingerprintRow] = {
-    val ps = partitioners(spark).patch(1, Seq(new BottomUpPartitioner(20)), 0)
+  def layoutFingerprints: Seq[FingerprintRow] = {
+    val ps = partitioners.patch(1, Seq(new BottomUpPartitioner(20)), 0)
     for {
       (ds, capacity) <- fingerprintDatasets
       k <- Seq(1, 3)

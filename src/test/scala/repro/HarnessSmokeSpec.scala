@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.functions._
 import repro.data.{DatasetSpec, VersionedDataGen}
+import repro.query.SparkQueries
 
 /** Smoke checks of the DuckDB `Oracle` over the membership relation of a
   * tiny generated dataset, so a broken oracle fails loudly before the
@@ -9,7 +10,7 @@ import repro.data.{DatasetSpec, VersionedDataGen}
   */
 class HarnessSmokeSpec extends SparkSpec {
   private lazy val membership =
-    VersionedDataGen.generate(DatasetSpec.tiny()).membershipDF(spark).cache()
+    SparkQueries.membershipDF(spark, VersionedDataGen.generate(DatasetSpec.tiny())).cache()
   private val sql = "SELECT origin, COUNT(*) AS cnt FROM membership GROUP BY origin"
 
   test("Oracle validates a simple aggregation") {

@@ -70,7 +70,7 @@ class AllocationBudgetSpec extends AnyFunSuite {
   test("Shingle's driver order allocates at most 8·l + 64 B per item") {
     val in = SubChunker.build(ds, 3).input
     val l = 4
-    val p = new ShinglePartitioner(null, numShingles = l) // driverOrder needs no session
+    val p = new ShinglePartitioner(numShingles = l)
     val bytes = allocated(p.driverOrder(in))
     // per item: its l shingles (8 B each), one shingle column and one sort
     // key (8 B each) and two order arrays (4 B each), with room to spare

@@ -1,20 +1,20 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{DatasetSpec, VersionedDataGen}
 
 /** Shared behaviour checks: every partitioning algorithm × several dataset
   * shapes must produce a complete, capacity-respecting, deterministic
   * assignment whose span is sane.
   */
-class PartitionerBehaviorSpec extends SparkSpec {
+class PartitionerBehaviorSpec extends AnyFunSuite {
 
   private val capacity = 2048L
 
   private lazy val algos: Seq[Partitioner] = Seq(
     new BottomUpPartitioner(),
     new BottomUpPartitioner(beta = 4),
-    new ShinglePartitioner(spark),
+    new ShinglePartitioner(),
     TraversalPartitioner.dfs,
     TraversalPartitioner.bfs,
   )

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.{DatasetSpec, VersionedDataGen}
+import repro.query.SparkQueries
 
 class ShingleSpec extends SparkSpec {
 
@@ -19,9 +20,9 @@ class ShingleSpec extends SparkSpec {
   }
 
   test("spark order equals the driver reference order") {
-    val p = new ShinglePartitioner(spark)
-    assert(p.sparkOrder(in).toSeq == p.driverOrder(in).toSeq)
-    assert(p.sparkOrder(subChunkIn).toSeq == p.driverOrder(subChunkIn).toSeq)
+    val p = new ShinglePartitioner()
+    assert(SparkQueries.shingleOrder(spark, p, in).toSeq == p.driverOrder(in).toSeq)
+    assert(SparkQueries.shingleOrder(spark, p, subChunkIn).toSeq == p.driverOrder(subChunkIn).toSeq)
   }
 
   /** 400 items in 9 classes over 12 versions: the items of a class share
@@ -50,21 +51,21 @@ class ShingleSpec extends SparkSpec {
 
   test("driver order breaks shingle ties by item id, as the lexicographic comparator does") {
     for (l <- Seq(1, 4, 6)) {
-      val p = new ShinglePartitioner(spark, numShingles = l)
+      val p = new ShinglePartitioner(numShingles = l)
       assert(p.driverOrder(tiedIn).toSeq == referenceOrder(tiedIn, l), s"l = $l")
       assert(p.driverOrder(in).toSeq == referenceOrder(in, l), s"l = $l")
     }
-    // the Spark job groups (item, version) rows, so it omits items in no version
-    assert(new ShinglePartitioner(spark).sparkOrder(tiedIn).toSeq == referenceOrder(tiedIn, 4).filter(_ >= 13))
+    // items in no version sort last in the Spark job too
+    assert(SparkQueries.shingleOrder(spark, new ShinglePartitioner(), tiedIn).toSeq == referenceOrder(tiedIn, 4))
   }
 
   test("order is a permutation of all items") {
-    val p = new ShinglePartitioner(spark)
-    assert(p.sparkOrder(in).sorted.toSeq == (0 until in.numItems))
+    val p = new ShinglePartitioner()
+    assert(SparkQueries.shingleOrder(spark, p, in).sorted.toSeq == (0 until in.numItems))
   }
 
   test("items with identical version sets sort into one shingle-equal run") {
-    val p = new ShinglePartitioner(spark)
+    val p = new ShinglePartitioner()
     val order = p.driverOrder(in)
     val versionSets = Array.fill(in.numItems)(Set.empty[Int])
     for (v <- in.members.indices; it <- in.members(v)) versionSets(it) += v
@@ -84,15 +85,15 @@ class ShingleSpec extends SparkSpec {
   }
 
   test("more shingles refine the ordering deterministically") {
-    val p1 = new ShinglePartitioner(spark, numShingles = 2)
-    val p2 = new ShinglePartitioner(spark, numShingles = 6)
+    val p1 = new ShinglePartitioner(numShingles = 2)
+    val p2 = new ShinglePartitioner(numShingles = 6)
     assert(p1.driverOrder(in).toSeq != p2.driverOrder(in).toSeq || in.numItems < 2)
     assert(p2.driverOrder(in).toSeq == p2.driverOrder(in).toSeq)
   }
 
   test("seed changes the order but not completeness") {
-    val pa = new ShinglePartitioner(spark, seed = 1)
-    val pb = new ShinglePartitioner(spark, seed = 2)
+    val pa = new ShinglePartitioner(seed = 1)
+    val pb = new ShinglePartitioner(seed = 2)
     val oa = pa.driverOrder(in)
     val ob = pb.driverOrder(in)
     assert(oa.sorted.toSeq == ob.sorted.toSeq)

@@ -1,9 +1,9 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.DatasetSpec
 
-class ExperimentsSpec extends SparkSpec {
+class ExperimentsSpec extends AnyFunSuite {
 
   test("tooManyQueries: time decreases monotonically with chunk size") {
     val rows = Experiments.tooManyQueries(totalRecords = 20000, versionRecords = 2000)
@@ -24,7 +24,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("spanComparison covers all algorithms and delta") {
     val spec = DatasetSpec.tiny("expspan", 15, 60, skewed = false, 2, seed = 121)
-    val rows = Experiments.spanComparison(spark, Seq(spec), capacity = 1024)
+    val rows = Experiments.spanComparison(Seq(spec), capacity = 1024)
     assert(rows.map(_.algorithm).toSet ==
       Set("BottomUp", "Shingle", "DepthFirst", "BreadthFirst", "Delta"))
     assert(rows.forall(_.totalSpan > 0))
@@ -38,7 +38,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("compressionSweep: ratio grows with k") {
     val spec = DatasetSpec.tiny("expcomp", 20, 80, skewed = false, 2, seed = 123)
-    val rows = Experiments.compressionSweep(spark, spec, pds = Seq(0.10),
+    val rows = Experiments.compressionSweep(spec, pds = Seq(0.10),
       ks = Seq(1, 5, 10), capacity = 1024)
     val byK = rows.groupBy(_.k).view.mapValues(_.head.ratio).toMap
     assert(byK(5) >= byK(1) * 0.99)
@@ -63,7 +63,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("queryPerf produces rows for all query classes and algorithms") {
     val spec = DatasetSpec.tiny("expqp", 15, 60, skewed = false, 2, seed = 125)
-    val rows = Experiments.queryPerf(spark, spec, ks = Seq(1, 3), capacity = 1024,
+    val rows = Experiments.queryPerf(spec, ks = Seq(1, 3), capacity = 1024,
       nQ1 = 5, nQ3 = 5)
     assert(rows.map(_.query).toSet == Set("Q1", "Q2", "Q3"))
     assert(rows.exists(_.algorithm == "Delta"))

@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Golden layout fingerprints: chunk count, total span and a hash of
   * `itemChunk` for every partitioner at k ∈ {1, 3} on the datasets of
@@ -8,7 +8,7 @@ import repro.SparkSpec
   * k ∈ {3, 10}. A change that keeps every layout keeps these values;
   * `repro.jobs.LayoutFingerprintJob` prints the same tables.
   */
-class LayoutFingerprintSpec extends SparkSpec {
+class LayoutFingerprintSpec extends AnyFunSuite {
 
   // dataset, algorithm, k, chunks, total span, itemChunk hash
   private val golden: Seq[String] =
@@ -97,7 +97,7 @@ class LayoutFingerprintSpec extends SparkSpec {
     f"${r.datasetName} ${r.k} ${r.numSubChunks} ${r.treeSize} ${r.hash}%016x"
   }
 
-  private lazy val actual: Seq[String] = Experiments.layoutFingerprints(spark).map { r =>
+  private lazy val actual: Seq[String] = Experiments.layoutFingerprints.map { r =>
     f"${r.datasetName} ${r.algorithm} ${r.k} ${r.numChunks} ${r.totalSpan} ${r.hash}%016x"
   }
 

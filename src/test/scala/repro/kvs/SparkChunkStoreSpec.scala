@@ -4,6 +4,7 @@ import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.data.{DatasetSpec, VersionedDataGen}
 import repro.index.ChunkIndexes
+import repro.query.SparkQueries
 
 import java.nio.file.Files
 
@@ -47,8 +48,8 @@ class SparkChunkStoreSpec extends SparkSpec {
 
   test("Q1 physical result matches DuckDB over the payload relation") {
     val v = ds.tree.size - 1
-    val payloads = ds.payloadsDF(spark)
-    val membership = ds.membershipDF(spark)
+    val payloads = SparkQueries.payloadsDF(spark, ds)
+    val membership = SparkQueries.membershipDF(spark, ds)
     val physical = store.fullVersion(ds, indexes.versionToChunks(v).toSeq, v)
     Oracle.assertEquivalent(
       physical,

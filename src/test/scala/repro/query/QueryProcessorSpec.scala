@@ -1,6 +1,6 @@
 package repro.query
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.data.{DatasetSpec, VersionedDataGen}
 import repro.index.ChunkIndexes
@@ -8,13 +8,13 @@ import repro.kvs.SimulatedKVS
 
 import scala.util.Random
 
-class QueryProcessorSpec extends SparkSpec {
+class QueryProcessorSpec extends AnyFunSuite {
   private val capacity = 2048L
   private lazy val ds = VersionedDataGen.generate(
     DatasetSpec.tiny("qp", 25, 100, skewed = false, 3, seed = 81))
 
   private lazy val algos: Seq[Partitioner] =
-    Seq(new BottomUpPartitioner(), TraversalPartitioner.dfs, new ShinglePartitioner(spark))
+    Seq(new BottomUpPartitioner(), TraversalPartitioner.dfs, new ShinglePartitioner())
 
   private def processor(p: Partitioner, k: Int): QueryProcessor = {
     val sub = SubChunker.build(ds, k)

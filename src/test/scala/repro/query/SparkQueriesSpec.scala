@@ -12,7 +12,7 @@ class SparkQueriesSpec extends SparkSpec {
   private val capacity = 2048L
   private lazy val ds = VersionedDataGen.generate(
     DatasetSpec.tiny("oracle", 20, 80, skewed = false, 3, seed = 91))
-  private lazy val membership = ds.membershipDF(spark)
+  private lazy val membership = SparkQueries.membershipDF(spark, ds)
 
   private def layout(p: Partitioner, k: Int) = {
     val sub = SubChunker.build(ds, k)
@@ -22,7 +22,7 @@ class SparkQueriesSpec extends SparkSpec {
   for ((algoName, mk) <- Seq[(String, () => Partitioner)](
       ("BottomUp", () => new BottomUpPartitioner()),
       ("DepthFirst", () => TraversalPartitioner.dfs),
-      ("Shingle", () => new ShinglePartitioner(spark))); k <- Seq(1, 3)) {
+      ("Shingle", () => new ShinglePartitioner())); k <- Seq(1, 3)) {
 
     test(s"$algoName k=$k: per-version spans agree with DuckDB") {
       val (sub, a) = layout(mk(), k)
