@@ -48,9 +48,14 @@ final case class ChunkIndexes(
     if (key >= 0 && key < keys.length && keys(key.toInt) == key) key.toInt
     else Arrays.binarySearch(keys, key)
 
+  /** Rank of `key` in `keys`, or -1 if unknown. The key's chunk ids are
+    * `keyChunks(keyOff(r) until keyOff(r + 1))`.
+    */
+  def keyRank(key: Long): Int = math.max(search(key), -1)
+
   /** Sorted distinct chunk ids holding a record of `key`; empty if unknown. */
   def keyToChunks(key: Long): Array[Int] = {
-    val r = search(key)
+    val r = keyRank(key)
     if (r < 0) Array.emptyIntArray else Arrays.copyOfRange(keyChunks, keyOff(r), keyOff(r + 1))
   }
 

@@ -1,5 +1,7 @@
 package repro.kvs
 
+import scala.collection.immutable.ArraySeq
+
 /** Retrieval time model for the simulated distributed KVS.
   *
   * Calibrated against the paper's §2.3 microbenchmark on Cassandra: 100 K
@@ -45,6 +47,15 @@ trait KeyValueStore {
   def put(key: Long, value: Blob): Unit
   def get(key: Long): Blob
   def multiGet(keys: Seq[Long]): Seq[Blob]
+
+  /** Fetch the values under `ids(from until until)`, in order, for their
+    * traffic only (the query path's batch read). By default one `multiGet`
+    * of the same ids as `Long`s; a store on the query path overrides it
+    * with a loop that boxes nothing.
+    */
+  def fetch(ids: Array[Int], from: Int, until: Int): Unit =
+    multiGet(ArraySeq.unsafeWrapArray(ids.slice(from, until).map(_.toLong)))
+
   /** Traffic incurred so far (requests, bytes). */
   def tally: Tally
 }

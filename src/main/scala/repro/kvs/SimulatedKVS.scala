@@ -23,14 +23,32 @@ final class SimulatedKVS(val numNodes: Int = 1, val cost: CostModel = CostModel(
 
   override def put(key: Long, value: Blob): Unit = store(key) = value
 
+  private def stored(key: Long): Blob = {
+    val b = store.getOrNull(key)
+    if (b == null) throw new NoSuchElementException(s"no value for $key")
+    b
+  }
+
   override def get(key: Long): Blob = {
-    val b = store.getOrElse(key, throw new NoSuchElementException(s"no value for $key"))
+    val b = stored(key)
     nodeRequests(nodeOf(key)) += 1
     tally.add(1, b.size)
     b
   }
 
   override def multiGet(keys: Seq[Long]): Seq[Blob] = keys.map(get)
+
+  override def fetch(ids: Array[Int], from: Int, until: Int): Unit = {
+    var bytes = 0L
+    var i = from
+    while (i < until) {
+      val key = ids(i).toLong
+      bytes += stored(key).size
+      nodeRequests(nodeOf(key)) += 1
+      i += 1
+    }
+    tally.add(until - from, bytes)
+  }
 
   def storedObjects: Int = store.size
   def storedBytes: Long = store.valuesIterator.map(_.size).sum

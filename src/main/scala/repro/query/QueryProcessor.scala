@@ -25,15 +25,18 @@ final class QueryProcessor(
   def populate(): Unit =
     indexes.chunkBytes.zipWithIndex.foreach { case (b, c) => kvs.put(c.toLong, Blob(b)) }
 
-  private def fetch(chunks: Seq[Int]): RetrievalCost = {
-    val before = (kvs.tally.requests, kvs.tally.bytes)
-    kvs.multiGet(chunks.map(_.toLong))
-    RetrievalCost(kvs.tally.requests - before._1, kvs.tally.bytes - before._2)
+  /** Fetch `chunks(from until until)` in one batch; the traffic it adds. */
+  private def fetch(chunks: Array[Int], from: Int, until: Int): RetrievalCost = {
+    val requests = kvs.tally.requests
+    val bytes = kvs.tally.bytes
+    kvs.fetch(chunks, from, until)
+    RetrievalCost(kvs.tally.requests - requests, kvs.tally.bytes - bytes)
   }
 
   /** Q1 — full version retrieval. */
   def fullVersion(v: Int): (Array[Long], RetrievalCost) = {
-    val cost = fetch(indexes.versionToChunks(v).toSeq)
+    val chunks = indexes.versionToChunks(v)
+    val cost = fetch(chunks, 0, chunks.length)
     (ds.members(v), cost)
   }
 
@@ -46,27 +49,54 @@ final class QueryProcessor(
   def range(v: Int, loKey: Long, hiKey: Long): (Array[Long], RetrievalCost) = {
     val rlo = indexes.rankFrom(loKey)
     val rhi = indexes.rankAfter(hiKey)
-    val hit = indexes.versionToChunks(v).filter(indexes.chunkHoldsRankIn(_, rlo, rhi))
-    val cost = fetch(hit.toSeq)
+    val chunks = indexes.versionToChunks(v)
+    val hit = new Array[Int](chunks.length)
+    var n = 0
+    var i = 0
+    while (i < chunks.length) {
+      if (indexes.chunkHoldsRankIn(chunks(i), rlo, rhi)) { hit(n) = chunks(i); n += 1 }
+      i += 1
+    }
+    val cost = fetch(hit, 0, n)
     val m = ds.members(v)
     val from = Ck.lowerBound(m, loKey)
     val until = if (hiKey == Long.MaxValue) m.length else Ck.lowerBound(m, hiKey + 1)
     (java.util.Arrays.copyOfRange(m, from, math.max(from, until)), cost)
   }
 
-  /** Q3 — record evolution: all records ever stored for `key`. */
+  /** Q3 — record evolution: all records ever stored for `key`, fetched
+    * straight from the key's slice of the key projection.
+    */
   def evolution(key: Long): (Array[Long], RetrievalCost) = {
-    val cost = fetch(indexes.keyToChunks(key).toSeq)
+    val r = indexes.keyRank(key)
+    val cost =
+      if (r < 0) fetch(indexes.keyChunks, 0, 0)
+      else fetch(indexes.keyChunks, indexes.keyOff(r), indexes.keyOff(r + 1))
     (ds.recordsOfKey(key), cost)
   }
 
-  /** Point query — the record for `key` in version `v`. */
+  /** Point query — the record for `key` in version `v`. Fetches the
+    * intersection of the version's chunks and the key's, merged from the
+    * two ascending arrays.
+    */
   def point(v: Int, key: Long): (Option[Long], RetrievalCost) = {
     val ck = ds.liveCk(v, key)
     if (ck < 0) return (None, RetrievalCost(0, 0))
-    val kChunks = indexes.keyToChunks(key)
-    val hit = indexes.versionToChunks(v).filter(c => java.util.Arrays.binarySearch(kChunks, c) >= 0)
-    (Some(ck), fetch(hit.toSeq))
+    val vChunks = indexes.versionToChunks(v)
+    val kChunks = indexes.keyChunks
+    val r = indexes.keyRank(key) // a live key is indexed
+    var j = indexes.keyOff(r)
+    val end = indexes.keyOff(r + 1)
+    val hit = new Array[Int](math.min(vChunks.length, end - j))
+    var n = 0
+    var i = 0
+    while (i < vChunks.length && j < end) {
+      val c = vChunks(i)
+      if (c < kChunks(j)) i += 1
+      else if (c > kChunks(j)) j += 1
+      else { hit(n) = c; n += 1; i += 1; j += 1 }
+    }
+    (Some(ck), fetch(hit, 0, n))
   }
 
   /** Span of a version under this layout (chunks to fetch for Q1). */

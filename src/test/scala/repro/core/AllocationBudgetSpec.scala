@@ -2,13 +2,16 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{DatasetSpec, VersionedDataGen}
+import repro.kvs.SimulatedKVS
+import repro.query.QueryProcessor
 
 import java.lang.management.ManagementFactory
+import scala.util.Random
 
-/** Allocation budgets for the offline ingest kernels, so boxing cannot
-  * creep back into them: each bound is derived from the arrays the
-  * algorithm has to build, and a boxed element (16 B) or a copied
-  * membership row pushes the call past it.
+/** Allocation budgets for the offline ingest kernels and the query paths,
+  * so boxing cannot creep back into them: each bound is derived from the
+  * arrays the algorithm has to build, and a boxed element (16 B) or a
+  * copied membership row pushes the call past it.
   */
 class AllocationBudgetSpec extends AnyFunSuite {
 
@@ -77,5 +80,70 @@ class AllocationBudgetSpec extends AnyFunSuite {
     val budget = (8L * l + 64) * in.numItems
     info(s"$bytes B allocated; budget $budget B (${in.numItems} items, l = $l)")
     assert(bytes <= budget)
+  }
+
+  /** A populated BottomUp layout (k = 1, 32 KB chunks) and a seeded query
+    * mix over it: Q2 ranges of 10 % of the key space, live point keys.
+    */
+  private lazy val queries = {
+    val sub = SubChunker.build(ds, 1)
+    val qp = new QueryProcessor(ds, sub, new BottomUpPartitioner().partition(sub.input, 32 * 1024),
+      new SimulatedKVS(4))
+    qp.populate()
+    val rnd = new Random(12)
+    val keys = qp.indexes.keys
+    val width = (keys.last - keys.head) / 10
+    val ranges = Array.fill(400) {
+      val lo = keys.head + (rnd.nextDouble() * (keys.last - keys.head - width)).toLong
+      (rnd.nextInt(ds.tree.size), lo, lo + width)
+    }
+    val points = Array.fill(400) {
+      val v = rnd.nextInt(ds.tree.size)
+      (v, Ck.key(ds.members(v)(rnd.nextInt(ds.members(v).length))))
+    }
+    (qp, ranges, points)
+  }
+
+  // the RetrievalCost and the result tuple, with room to spare (a tuple
+  // pattern such as `val (v, key) = points(i)` would re-box its fields, so
+  // the loops below read them with `_1`, `_2`)
+  private val perQuery = 128L
+
+  private def longArrayBytes(length: Int): Long = 16L + 8L * length
+
+  private def checkQueries(kind: String, n: Int, bytes: Long, budget: Long): Unit = {
+    info(s"$kind: $bytes B allocated over $n queries; budget $budget B")
+    assert(bytes <= budget)
+  }
+
+  test("Q1 and Q3 allocate a constant per query besides the answer, whatever the span") {
+    val (qp, _, _) = queries
+    val versions = ds.tree.size
+    val q1 = allocated { var v = 0; while (v < versions) { qp.fullVersion(v); v += 1 } }
+    checkQueries("Q1", versions, q1, perQuery * versions)
+    val keys = qp.indexes.keys
+    val q3 = allocated { var i = 0; while (i < keys.length) { qp.evolution(keys(i)); i += 1 } }
+    // the answer is a fresh array of the key's records
+    val answers = keys.iterator.map(k => longArrayBytes(ds.recordsOfKey(k).length)).sum
+    checkQueries("Q3", keys.length, q3, perQuery * keys.length + answers)
+  }
+
+  test("Q2 and point allocate at most 4 B per chunk of the version besides a constant and the answer") {
+    val (qp, ranges, points) = queries
+    val q2 = allocated {
+      var i = 0
+      while (i < ranges.length) { val r = ranges(i); qp.range(r._1, r._2, r._3); i += 1 }
+    }
+    val q2Budget = ranges.iterator.map { case (v, lo, hi) =>
+      perQuery + 4L * qp.versionSpan(v) + longArrayBytes(qp.range(v, lo, hi)._1.length)
+    }.sum
+    checkQueries("Q2", ranges.length, q2, q2Budget)
+    val pt = allocated {
+      var i = 0
+      while (i < points.length) { val p = points(i); qp.point(p._1, p._2); i += 1 }
+    }
+    // the answer is a `Some` of a boxed record
+    val ptBudget = points.iterator.map { case (v, _) => perQuery + 4L * qp.versionSpan(v) }.sum
+    checkQueries("point", points.length, pt, ptBudget)
   }
 }

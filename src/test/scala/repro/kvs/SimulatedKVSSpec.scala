@@ -29,6 +29,44 @@ class SimulatedKVSSpec extends AnyFunSuite {
     assert(kvs.tally.bytes == 100)
   }
 
+  test("fetch over a sub-range tallies like multiGet of the same ids") {
+    val ids = Array(7, 3, 3, 12, 0, 5, 9, 1)
+    val (a, b) = (new SimulatedKVS(3), new SimulatedKVS(3))
+    for (kvs <- Seq(a, b); i <- 0 until 16) kvs.put(i.toLong, Blob(10L + i))
+    a.fetch(ids, 1, 6)
+    b.multiGet(ids.slice(1, 6).map(_.toLong).toSeq)
+    assert(a.tally.requests == 5)
+    assert((a.tally.requests, a.tally.bytes) == (b.tally.requests, b.tally.bytes))
+    assert(a.requestsPerNode == b.requestsPerNode)
+  }
+
+  test("fetch over an empty range is a no-op") {
+    val kvs = new SimulatedKVS(2)
+    kvs.put(1L, Blob(10))
+    kvs.fetch(Array(1, 1), 1, 1)
+    kvs.fetch(Array.emptyIntArray, 0, 0)
+    assert(kvs.tally.requests == 0 && kvs.tally.bytes == 0)
+    assert(kvs.requestsPerNode.sum == 0)
+  }
+
+  test("fetch of a missing id fails") {
+    val kvs = new SimulatedKVS(1)
+    kvs.put(1L, Blob(10))
+    intercept[NoSuchElementException](kvs.fetch(Array(1, 4), 0, 2))
+  }
+
+  test("the default fetch is one multiGet of the requested ids, in order") {
+    val inner = new SimulatedKVS(2)
+    (0 until 10).foreach(i => inner.put(i.toLong, Blob(1)))
+    val rec = new RecordingStore(inner)
+    rec.fetch(Array(9, 4, 0, 4, 6, 2), 1, 5)
+    assert(rec.calls.toSeq == Seq(Seq(4L, 0L, 4L, 6L)))
+    assert(inner.tally.requests == 4 && inner.tally.bytes == 4)
+    rec.calls.clear()
+    rec.fetch(Array(3), 0, 0)
+    assert(rec.calls.toSeq == Seq(Seq.empty[Long]))
+  }
+
   test("placement spreads keys across nodes") {
     val kvs = new SimulatedKVS(8)
     (0 until 1000).foreach(i => kvs.put(i.toLong, Blob(1)))

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.data.{DatasetSpec, VersionedDataGen}
 import repro.index.ChunkIndexes
-import repro.kvs.SimulatedKVS
+import repro.kvs.{RecordingStore, SimulatedKVS}
 
 import scala.util.Random
 
@@ -32,6 +32,26 @@ class QueryProcessorSpec extends AnyFunSuite {
   private def andSetSize(qp: QueryProcessor, v: Int, lo: Long, hi: Long): Int = {
     val keyChunks = (lo to hi).flatMap(chunksOfKey(qp, _)).toSet
     qp.indexes.versionToChunks(v).count(keyChunks)
+  }
+
+  /** Q2 ranges: single live keys, random widths, ranges past or beyond
+    * the last key, and single keys that are not live in the version.
+    */
+  private lazy val andRanges: Seq[(Int, Long, Long)] = {
+    val maxKey = ds.uniqueCks.map(Ck.key).max
+    val rnd = new Random(8)
+    (0 until 40).flatMap { _ =>
+      val v = rnd.nextInt(ds.tree.size)
+      val m = ds.members(v)
+      val key = Ck.key(m(rnd.nextInt(m.length)))
+      val dead = (0L to maxKey).filterNot(ds.isLive(v, _))
+      Seq(
+        (v, key, key),                             // single live key
+        (v, key, key + rnd.nextInt(30)),           // random width
+        (v, maxKey - 3, maxKey + 20),              // past the last key
+        (v, maxKey + 1, maxKey + 10),              // beyond every key
+      ) ++ dead.headOption.map(d => (v, d, d))     // no live key of v
+    }
   }
 
   for (algoIdx <- 0 until 3; k <- Seq(1, 3)) {
@@ -75,24 +95,49 @@ class QueryProcessorSpec extends AnyFunSuite {
     test(s"algo #$algoIdx k=$k: Q2 fetches exactly the AND of the two projections") {
       val qp = processor(algos(algoIdx), k)
       val maxKey = ds.uniqueCks.map(Ck.key).max
-      val rnd = new Random(8)
-      val ranges = (0 until 40).flatMap { _ =>
-        val v = rnd.nextInt(ds.tree.size)
-        val m = ds.members(v)
-        val key = Ck.key(m(rnd.nextInt(m.length)))
-        val dead = (0L to maxKey).filterNot(ds.isLive(v, _))
-        Seq(
-          (v, key, key),                             // single live key
-          (v, key, key + rnd.nextInt(30)),           // random width
-          (v, maxKey - 3, maxKey + 20),              // past the last key
-          (v, maxKey + 1, maxKey + 10),              // beyond every key
-        ) ++ dead.headOption.map(d => (v, d, d))     // no live key of v
-      }
-      assert(ranges.exists { case (v, lo, hi) => lo <= maxKey && !(lo to hi).exists(ds.isLive(v, _)) })
-      ranges.foreach { case (v, lo, hi) =>
+      assert(andRanges.exists { case (v, lo, hi) => lo <= maxKey && !(lo to hi).exists(ds.isLive(v, _)) })
+      andRanges.foreach { case (v, lo, hi) =>
         val (records, cost) = qp.range(v, lo, hi)
         assert(records.toSeq == ds.members(v).filter(ck => Ck.key(ck) >= lo && Ck.key(ck) <= hi).toSeq)
         assert(cost.queries == andSetSize(qp, v, lo, hi), s"v=$v [$lo, $hi]")
+      }
+    }
+
+    test(s"algo #$algoIdx k=$k: each query requests its chunk set in one read, in order, at the same cost") {
+      val sub = SubChunker.build(ds, k)
+      val a = algos(algoIdx).partition(sub.input, capacity)
+      val rec = new RecordingStore(new SimulatedKVS(2))
+      val recQp = new QueryProcessor(ds, sub, a, rec)
+      val qp = new QueryProcessor(ds, sub, a, new SimulatedKVS(2))
+      recQp.populate()
+      qp.populate()
+      val idx = qp.indexes
+      def check(what: String, expect: Array[Int], cost: QueryProcessor => RetrievalCost): Unit = {
+        val recCost = cost(recQp)
+        assert(rec.calls.length == 1, what)
+        assert(rec.take() == expect.map(_.toLong).toSeq, what)
+        assert(recCost == cost(qp), what)
+      }
+      (0 until ds.tree.size).foreach { v =>
+        check(s"Q1 v=$v", idx.versionToChunks(v), _.fullVersion(v)._2)
+      }
+      val maxKey = idx.keys.last
+      (idx.keys :+ (maxKey + 1)).foreach(key => check(s"Q3 key=$key", idx.keyToChunks(key), _.evolution(key)._2))
+      val edges = (0 until ds.tree.size by 5).flatMap { v =>
+        Seq((v, 10L, 5L), (v, -7L, 12L), (v, maxKey / 2, Long.MaxValue), (v, Long.MinValue, Long.MaxValue))
+      }
+      (andRanges ++ edges).foreach { case (v, lo, hi) =>
+        val (rlo, rhi) = (idx.rankFrom(lo), idx.rankAfter(hi))
+        check(s"Q2 v=$v [$lo, $hi]", idx.versionToChunks(v).filter(idx.chunkHoldsRankIn(_, rlo, rhi)),
+          _.range(v, lo, hi)._2)
+      }
+      val rnd = new Random(9)
+      (0 until 200).foreach { _ =>
+        val v = rnd.nextInt(ds.tree.size)
+        val key = Ck.key(ds.members(v)(rnd.nextInt(ds.members(v).length)))
+        val kChunks = idx.keyToChunks(key)
+        check(s"point v=$v key=$key",
+          idx.versionToChunks(v).filter(c => java.util.Arrays.binarySearch(kChunks, c) >= 0), _.point(v, key)._2)
       }
     }
 
