@@ -57,7 +57,7 @@ final class SubChunkLayout(ds: VersionedDataset) {
   def keyBytes(key: Long): Long = {
     val records = ds.recordsOfKey(key)
     records.map { ck =>
-      if (ds.lineage(ck).isDefined) RecordModel.diffSize(ck, ds.spec)
+      if (ds.parentOf(ck) >= 0) RecordModel.diffSize(ck, ds.spec)
       else RecordModel.size(ck, ds.spec)
     }.sum + 16L * records.length
   }

@@ -116,14 +116,8 @@ object SubChunker {
       while (hi < n && Ck.key(cks(hi)) == key) hi += 1
       var i = lo
       while (i < hi) {
-        // `lineage` (`LongMap.get`), not `lineageMap.getOrElse`: every query
-        // calls `LongMap.getOrElse` in `SimulatedKVS.get`, always with a
-        // present key, and feeding it absent keys here changed how the JIT
-        // compiled it (perfbench `q1_p99_us` +16 % after such an ingest)
-        val j = ds.lineage(cks(i)) match {
-          case Some(p) => java.util.Arrays.binarySearch(cks, lo, hi, p)
-          case None => -1
-        }
+        val p = ds.parentOf(cks(i))
+        val j = if (p < 0) -1 else java.util.Arrays.binarySearch(cks, lo, hi, p)
         parent(i) = if (j < 0) -1 else j
         i += 1
       }

@@ -19,10 +19,11 @@ final case class DatasetStats(
   *
   * Holds the version tree, the per-edge deltas (`deltas(v)` derives `V_v`
   * from its parent; `deltas(0).adds` is the root's content), the lineage of
-  * modified records (composite key → the composite key it modified), and the
-  * per-version membership (sorted packed composite keys), materialised from
-  * the deltas on first use. A delta adds only records originating at its
-  * version, and deletes only records its parent holds.
+  * modified records (composite key → the composite key it modified, given as
+  * `parents`), and the per-version membership (sorted packed composite
+  * keys), materialised from the deltas on first use. A delta adds only
+  * records originating at its version, and deletes only records its parent
+  * holds.
   *
   * Dense *item ids* (`0 until uniqueCks.length`, in sorted-ck order) are the
   * unit the partitioning algorithms operate on when no sub-chunking is used.
@@ -31,11 +32,16 @@ final class VersionedDataset(
     val spec: DatasetSpec,
     val tree: VersionTree,
     val deltas: Array[Delta],
-    val lineageMap: collection.Map[Long, Long],
+    parents: collection.Map[Long, Long],
 ) {
   require(deltas.length == tree.size)
   require(tree.size <= Ck.MaxVersions,
     s"${tree.size} versions exceed the limit of ${Ck.MaxVersions} (2^${Ck.VersionBits}) a composite key can address")
+
+  /** The lineage as a parent-version table aligned with the deltas: a
+    * `Lineage` over these deltas is shared, any other map converted once.
+    */
+  val lineageMap: Lineage = Lineage.from(deltas, parents)
 
   /** All distinct records, sorted. Every add creates a fresh composite key,
     * so this is exactly the concatenation of all deltas' adds.
@@ -157,6 +163,9 @@ final class VersionedDataset(
   private def deletesAbsent(v: Int): Nothing =
     throw new IllegalArgumentException(s"the delta of version $v deletes records its parent does not hold")
 
+  /** Lineage parent of a modified record, or -1 if it has none. */
+  def parentOf(ck: Long): Long = lineageMap.parentOf(ck)
+
   /** Lineage parent of a modified record, if any. */
   def lineage(ck: Long): Option[Long] = lineageMap.get(ck)
 
@@ -228,14 +237,14 @@ final class VersionedDataset(
     val d = deltas(v)
     var bytes = 0L
     d.adds.foreach { ck =>
-      bytes += (if (lineageMap.contains(ck)) RecordModel.diffSize(ck, spec)
+      bytes += (if (parentOf(ck) >= 0) RecordModel.diffSize(ck, spec)
                 else RecordModel.size(ck, spec))
     }
     bytes + d.dels.length.toLong * RecordModel.TombstoneSize
   }
 
   /** JSON payload of a record (correctness tests). */
-  def payload(ck: Long): String = RecordModel.payload(ck, spec, lineageMap.get)
+  def payload(ck: Long): String = RecordModel.payload(ck, spec, parentOf)
 
   /** The dataset restricted to its first `n` versions (version ids are
     * generated in commit order, so this is a valid history prefix). Used to

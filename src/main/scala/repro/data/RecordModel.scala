@@ -47,20 +47,22 @@ object RecordModel {
 
   /** Value of field `f` for record `ck`, following lineage: unchanged fields
     * carry the parent record's value, changed fields get a fresh value.
-    * `lineage` maps a modified record to its parent record.
+    * `parentOf` maps a modified record to its parent record, and any other
+    * record to -1.
     */
-  def fieldValue(ck: Long, f: Int, spec: DatasetSpec, lineage: Long => Option[Long]): String = {
+  def fieldValue(ck: Long, f: Int, spec: DatasetSpec, parentOf: Long => Long): String = {
     var cur = ck
+    var p = parentOf(cur)
     // walk up lineage until this field was (re)written; roots always write
-    while (lineage(cur).isDefined && !fieldChanged(cur, f, spec)) cur = lineage(cur).get
+    while (p >= 0 && !fieldChanged(cur, f, spec)) { cur = p; p = parentOf(cur) }
     f"${Hash64(cur * 2654435761L + f, spec.seed ^ 0xfaceL)}%016x"
   }
 
   /** Full JSON payload of the record — `{"k":…,"v":…,"f0":"…",…}`. */
-  def payload(ck: Long, spec: DatasetSpec, lineage: Long => Option[Long]): String = {
+  def payload(ck: Long, spec: DatasetSpec, parentOf: Long => Long): String = {
     val n = numFields(ck, spec)
     val fields = (0 until n)
-      .map(f => s""""f$f":"${fieldValue(ck, f, spec, lineage)}"""")
+      .map(f => s""""f$f":"${fieldValue(ck, f, spec, parentOf)}"""")
       .mkString(",")
     s"""{"k":${Ck.key(ck)},"v":${Ck.version(ck)},$fields}"""
   }

@@ -1,6 +1,6 @@
 package repro.data
 
-import repro.core.{Ck, Delta, VersionedDataset, VersionTree}
+import repro.core.{Ck, Delta, Lineage, VersionedDataset, VersionTree}
 
 import scala.collection.mutable
 import scala.util.Random
@@ -45,27 +45,31 @@ object VersionedDataGen {
     new VersionTree(parent)
   }
 
-  /** Pick `count` distinct indices in `[0, len)`. Skewed selection draws
-    * `⌊len·U³⌋`, concentrating changes on the oldest (lowest) keys.
+  /** Pick `count` distinct indices in `[0, len)`, in the order drawn, and
+    * set `mark` to `stamp` at each (`mark` holds no `stamp` on entry).
+    * Skewed selection draws `⌊len·U³⌋`, concentrating changes on the oldest
+    * (lowest) keys.
     */
-  private def pickVictims(len: Int, count: Int, skewed: Boolean, rnd: Random): Array[Int] = {
+  private def pickVictims(len: Int, count: Int, skewed: Boolean, rnd: Random,
+                          mark: Array[Int], stamp: Int): Array[Int] = {
     require(count <= len, s"cannot pick $count of $len")
-    val seen = mutable.LinkedHashSet.empty[Int]
+    val out = new mutable.ArrayBuilder.ofInt
+    def take(i: Int): Unit = if (mark(i) != stamp) { mark(i) = stamp; out.addOne(i) }
     if (count > len / 2 && !skewed) {
       // dense uniform case: permute instead of rejection-sampling
-      rnd.shuffle((0 until len).toVector).take(count).foreach(seen += _)
+      rnd.shuffle((0 until len).toVector).take(count).foreach(take)
     } else {
       var guard = 0
-      while (seen.size < count && guard < 100 * count + 1000) {
+      while (out.length < count && guard < 100 * count + 1000) {
         val u = rnd.nextDouble()
         val idx = if (skewed) (len * u * u * u).toInt else (len * u).toInt
-        seen += math.min(idx, len - 1)
+        take(math.min(idx, len - 1))
         guard += 1
       }
       var fill = 0 // pathological skew fallback: take lowest unused indices
-      while (seen.size < count) { if (!seen.contains(fill)) seen += fill; fill += 1 }
+      while (out.length < count) { take(fill); fill += 1 }
     }
-    seen.toArray
+    out.result()
   }
 
   def generate(spec: DatasetSpec): VersionedDataset = {
@@ -73,12 +77,16 @@ object VersionedDataGen {
     val n = tree.size
     val rnd = new Random(spec.seed)
     val deltas = new Array[Delta](n)
-    val lineage = mutable.LongMap.empty[Long]
+    // per add, in delta order: its lineage parent's origin version, or -1
+    val parents = new mutable.ArrayBuilder.ofInt
     val members = new Array[Array[Long]](n)
+    // per index of the parent's row: the stamp of the last pick that took it
+    var mark = new Array[Int](spec.rootRecords)
 
     deltas(0) = Delta(Array.tabulate(spec.rootRecords)(k => Ck.pack(k.toLong, 0)),
                       Array.emptyLongArray)
     members(0) = deltas(0).adds
+    parents.addAll(Array.fill(spec.rootRecords)(-1))
     var nextKey = spec.rootRecords.toLong
 
     var v = 1
@@ -88,36 +96,46 @@ object VersionedDataGen {
       val nMod = math.max(1, (changes * 0.8).toInt)
       val nDel = math.min((changes * 0.1).toInt, pm.length - nMod)
       val nIns = math.max(0, changes - nMod - nDel)
+      if (mark.length < pm.length) mark = java.util.Arrays.copyOf(mark, 2 * pm.length)
+      val modStamp = 2 * v
+      val delStamp = 2 * v + 1
       // modifications follow the spec's distribution (the "hot set" under
       // skew); deletions are always uniform — otherwise skewed deletes would
       // eat the hot keys and the bias could not persist across versions
-      val modVictims = pickVictims(pm.length, nMod, spec.skewed, rnd)
-      val modSet = modVictims.toSet
+      val modVictims = pickVictims(pm.length, nMod, spec.skewed, rnd, mark, modStamp)
       val delVictims = {
-        val out = scala.collection.mutable.LinkedHashSet.empty[Int]
+        val out = new mutable.ArrayBuilder.ofInt
         var guard = 0
-        while (out.size < nDel && guard < 100 * nDel + 1000) {
+        while (out.length < nDel && guard < 100 * nDel + 1000) {
           val i = rnd.nextInt(pm.length)
-          if (!modSet.contains(i)) out += i
+          if (mark(i) != modStamp && mark(i) != delStamp) { mark(i) = delStamp; out.addOne(i) }
           guard += 1
         }
-        out.toArray
+        out.result()
       }
 
-      val adds = new mutable.ArrayBuilder.ofLong
-      val dels = new mutable.ArrayBuilder.ofLong
-      modVictims.foreach { idx => // modifications: new record, lineage to the old one
-        val old = pm(idx)
-        val neu = Ck.pack(Ck.key(old), v)
-        lineage(neu) = old
-        adds.addOne(neu)
-        dels.addOne(old)
-      }
-      delVictims.foreach(idx => dels.addOne(pm(idx))) // deletions
+      // `pm` is sorted with one record per key, so its modified records in
+      // index order are sorted by key, and so are the records replacing
+      // them; inserts take fresh keys above every existing one, so `adds`
+      // is sorted as built and `parents` stays aligned with it
+      java.util.Arrays.sort(modVictims)
+      val adds = new Array[Long](nMod + nIns)
+      val dels = new Array[Long](nMod + delVictims.length)
       var j = 0
-      while (j < nIns) { adds.addOne(Ck.pack(nextKey, v)); nextKey += 1; j += 1 }
+      while (j < nMod) { // modifications: new record, lineage to the old one
+        val old = pm(modVictims(j))
+        adds(j) = Ck.pack(Ck.key(old), v)
+        parents.addOne(Ck.version(old))
+        dels(j) = old
+        j += 1
+      }
+      j = 0
+      while (j < delVictims.length) { dels(nMod + j) = pm(delVictims(j)); j += 1 } // deletions
+      java.util.Arrays.sort(dels)
+      j = 0
+      while (j < nIns) { adds(nMod + j) = Ck.pack(nextKey, v); parents.addOne(-1); nextKey += 1; j += 1 }
 
-      val d = Delta(adds.result().sorted, dels.result().sorted)
+      val d = Delta(adds, dels)
       deltas(v) = d
       members(v) = d.applyTo(pm)
       v += 1
@@ -125,6 +143,6 @@ object VersionedDataGen {
 
     // VersionedDataset replays the deltas when its membership is first
     // used; the local `members` array only served victim selection here.
-    new VersionedDataset(spec, tree, deltas, lineage)
+    new VersionedDataset(spec, tree, deltas, Lineage(deltas, parents.result()))
   }
 }

@@ -141,18 +141,20 @@ object Experiments {
     val tree = VersionTree.chain(spec.nVersions)
     val rnd = new Random(spec.seed)
     val deltas = new Array[Delta](spec.nVersions)
-    val lineage = mutable.LongMap.empty[Long]
+    // per add, in delta order: its lineage parent's origin version, or -1
+    val parents = new mutable.ArrayBuilder.ofInt
     deltas(0) = Delta(Array.tabulate(spec.rootRecords)(k => Ck.pack(k.toLong, 0)), Array.emptyLongArray)
+    parents.addAll(Array.fill(spec.rootRecords)(-1))
     var cur = deltas(0).adds
     for (v <- 1 until spec.nVersions) {
       val nMod = math.max(1, math.round(spec.updateFrac * cur.length).toInt)
-      val victims = rnd.shuffle(cur.toVector).take(nMod)
-      val adds = victims.map(old => Ck.pack(Ck.key(old), v)).sorted.toArray
-      victims.foreach(old => lineage(Ck.pack(Ck.key(old), v)) = old)
-      deltas(v) = Delta(adds, victims.sorted.toArray)
+      // one record per key, so sorting the victims sorts their successors
+      val victims = rnd.shuffle(cur.toVector).take(nMod).sorted.toArray
+      deltas(v) = Delta(victims.map(old => Ck.pack(Ck.key(old), v)), victims)
+      victims.foreach(old => parents.addOne(Ck.version(old)))
       cur = deltas(v).applyTo(cur)
     }
-    new VersionedDataset(spec, tree, deltas, lineage)
+    new VersionedDataset(spec, tree, deltas, Lineage(deltas, parents.result()))
   }
 
   // -------------------------------------------------------------------------

@@ -56,17 +56,29 @@ class AllocationBudgetSpec extends AnyFunSuite {
     assert(bytes <= budget)
   }
 
-  test("SubChunker at k = 10 allocates at most 8 B per membership entry and 96 B per item") {
+  test("SubChunker at k = 10 allocates at most 4 B per membership entry and 72 B per item") {
     ds.itemSizes
     val bytes = allocated(SubChunker.build(ds, 10))
     // per entry: the rows of sub-chunk ids, at most one Int per record;
-    // per item: its lineage lookup (a boxed key, and a `Some` if modified),
-    // its lineage parent, child slot and offset, bag links, stack slot and
-    // sub-chunk id (4 B each), a presized representative and size (8 B
-    // each) and their trimmed copies
+    // per item: its lineage parent, child slot and offset, bag links, stack
+    // slot and sub-chunk id (4 B each), a presized representative and size
+    // (8 B each) and their trimmed copies
     val items = ds.uniqueCks.length
-    val budget = 8 * entries + 96L * items
+    val budget = 4 * entries + 72L * items
     info(s"$bytes B allocated; budget $budget B ($entries entries, $items items)")
+    assert(bytes <= budget)
+  }
+
+  test("generation allocates at most 20 B per membership entry and 64 B per record") {
+    val bytes = allocated(VersionedDataGen.generate(ds.spec))
+    // per entry: each version's row of cks, presized to the parent's row
+    // plus the adds and trimmed when the delta deletes (8 B twice, less the
+    // deletes); per record: its add and the delete it replaces (8 B each),
+    // its parent version (4 B, in a doubling builder), its victim pick,
+    // and the dataset's sorted `uniqueCks` (8 B)
+    val records = ds.uniqueCks.length
+    val budget = 20 * entries + 64L * records
+    info(s"$bytes B allocated; budget $budget B ($entries entries, $records records)")
     assert(bytes <= budget)
   }
 

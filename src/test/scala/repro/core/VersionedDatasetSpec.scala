@@ -244,6 +244,63 @@ class VersionedDatasetSpec extends AnyFunSuite {
     assert(e.getMessage.contains("<K1,V0>"), e.getMessage)
   }
 
+  test("a Lineage over the same deltas is shared, a prefix keeps its versions' pairs, another map converts equal") {
+    val g = VersionedDataGen.generate(specs.head)
+    assert(new VersionedDataset(g.spec, g.tree, g.deltas, g.lineageMap).lineageMap eq g.lineageMap)
+    val pre = g.prefix(7)
+    assert(pre.lineageMap == g.lineageMap.filter(kv => Ck.version(kv._1) < 7))
+    val copied = new VersionedDataset(g.spec, g.tree, g.deltas, mutable.LongMap.from(g.lineageMap))
+    assert(copied.lineageMap ne g.lineageMap)
+    assert(copied.lineageMap == g.lineageMap)
+    g.uniqueCks.foreach(ck => assert(copied.parentOf(ck) == g.parentOf(ck)))
+    assert(example2.lineageMap == Map(
+      Ck.pack(3, 1) -> Ck.pack(3, 0), Ck.pack(3, 2) -> Ck.pack(3, 0), Ck.pack(3, 4) -> Ck.pack(3, 2)))
+    assert(example2.lineageMap - Ck.pack(3, 2) + (Ck.pack(5, 2) -> Ck.pack(5, 0)) == Map(
+      Ck.pack(3, 1) -> Ck.pack(3, 0), Ck.pack(3, 4) -> Ck.pack(3, 2), Ck.pack(5, 2) -> Ck.pack(5, 0)))
+    assert(example2.parentOf(Ck.pack(3, 0)) == -1 && example2.parentOf(Ck.pack(3, 9)) == -1)
+  }
+
+  test("a lineage child that its origin version's delta does not add is rejected, naming the record") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    val deltas = Array(
+      Delta(Array(ck(0, 0), ck(1, 0)), Array.emptyLongArray),
+      Delta(Array(ck(1, 1)), Array(ck(1, 0))),
+    )
+    val spec = DatasetSpec("stray", 2, 2, 0.5, skewed = false, 1)
+    for (child <- Seq(ck(0, 1), ck(1, 2))) { // version 1 adds only K1; there is no version 2
+      val e = intercept[IllegalArgumentException](
+        new VersionedDataset(spec, VersionTree.chain(2), deltas, Map(child -> ck(Ck.key(child).toInt, 0))))
+      assert(e.getMessage.contains(Ck.show(child)), e.getMessage)
+    }
+  }
+
+  test("a lineage parent of another primary key is rejected, naming the record") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    val deltas = Array(
+      Delta(Array(ck(0, 0), ck(1, 0)), Array.emptyLongArray),
+      Delta(Array(ck(1, 1)), Array(ck(1, 0))),
+    )
+    val e = intercept[IllegalArgumentException](new VersionedDataset(
+      DatasetSpec("rekeyed", 2, 2, 0.5, skewed = false, 1), VersionTree.chain(2), deltas,
+      mutable.LongMap(ck(1, 1).toLong -> ck(0, 0))))
+    assert(e.getMessage.contains("<K1,V1>"), e.getMessage)
+  }
+
+  test("a lineage parent that does not originate in an earlier version is rejected, naming the record") {
+    def ck(k: Int, v: Int) = Ck.pack(k.toLong, v)
+    val deltas = Array(
+      Delta(Array(ck(0, 0), ck(1, 0)), Array.emptyLongArray),
+      Delta(Array(ck(1, 1)), Array(ck(1, 0))),
+    )
+    val spec = DatasetSpec("cyclic", 2, 2, 0.5, skewed = false, 1)
+    // a record its own parent: the payload's walk up the lineage would not end
+    for (parent <- Seq(ck(1, 1), ck(1, 2))) {
+      val e = intercept[IllegalArgumentException](
+        new VersionedDataset(spec, VersionTree.chain(2), deltas, Map(ck(1, 1) -> parent)))
+      assert(e.getMessage.contains("<K1,V1>"), e.getMessage)
+    }
+  }
+
   test("more than 2^20 versions are rejected up front, naming the limit") {
     val e = intercept[IllegalArgumentException](
       DatasetSpec("huge", Ck.MaxVersions + 1, 10, 0.1, skewed = false, 1))

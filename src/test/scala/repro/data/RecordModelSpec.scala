@@ -51,8 +51,8 @@ class RecordModelSpec extends AnyFunSuite {
       val parent = ds.lineage(ck).get
       val n = math.min(RecordModel.numFields(ck, spec), RecordModel.numFields(parent, spec))
       shared += (1 until n).count { f =>
-        RecordModel.fieldValue(ck, f, spec, ds.lineageMap.get) ==
-          RecordModel.fieldValue(parent, f, spec, ds.lineageMap.get)
+        RecordModel.fieldValue(ck, f, spec, ds.parentOf) ==
+          RecordModel.fieldValue(parent, f, spec, ds.parentOf)
       }
       compared += n - 1
     }
