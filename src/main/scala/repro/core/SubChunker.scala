@@ -43,13 +43,22 @@ object SubChunker {
   def build(ds: VersionedDataset, k: Int): SubChunking = {
     require(k >= 1)
     val cks = ds.uniqueCks
-    // at k = 1 every record is its own sub-chunk
-    val (recordSc, reps, sizes) =
+    // at k = 1 every record is its own sub-chunk. The raw bytes are summed
+    // where each record's size is computed anyway, not by a pass over
+    // `ds.itemSizes`: such a pass runs once per dataset, too few times on
+    // 43 K records for the JIT to compile it before a second ingest, which
+    // then spent 2-20 ms on it (0.7 ms compiled).
+    val (recordSc, reps, sizes, rawBytes) =
       if (k == 1) {
         val sizes = new Array[Long](cks.length)
+        var raw = 0L
         var i = 0
-        while (i < cks.length) { sizes(i) = RecordModel.subChunkCompressedSize(cks(i), Nil, ds.spec); i += 1 }
-        (Array.range(0, cks.length), cks, sizes)
+        while (i < cks.length) {
+          sizes(i) = RecordModel.subChunkCompressedSize(cks(i), Nil, ds.spec)
+          raw += RecordModel.size(cks(i), ds.spec)
+          i += 1
+        }
+        (Array.range(0, cks.length), cks, sizes, raw)
       } else groupByLineage(ds, k)
 
     // per original version: distinct sub-chunks touched; at k = 1 the
@@ -86,12 +95,13 @@ object SubChunker {
       scSizes = sizes,
       scMembersOrig = scMembersOrig,
       input = PartitionInput(new VersionTree(tParent), tMembers, sizes),
-      rawBytes = java.util.Arrays.stream(ds.itemSizes).sum,
+      rawBytes = rawBytes,
     )
   }
 
   /** Connected groups of ≤k records per key (k > 1): record → sub-chunk,
-    * and per sub-chunk its representative ck and compressed size.
+    * per sub-chunk its representative ck and compressed size, and the
+    * records' total uncompressed size.
     *
     * A record's lineage parent is searched only among the records of its
     * key (a contiguous range of `uniqueCks`); records without one there are
@@ -104,7 +114,7 @@ object SubChunker {
     * so is u's bag once it reaches k or u is a root. Sub-chunk ids follow
     * emission order.
     */
-  private def groupByLineage(ds: VersionedDataset, k: Int): (Array[Int], Array[Long], Array[Long]) = {
+  private def groupByLineage(ds: VersionedDataset, k: Int): (Array[Int], Array[Long], Array[Long], Long) = {
     val cks = ds.uniqueCks
     val n = cks.length
     // lineage parent within the key's range, or -1 for a root
@@ -144,6 +154,7 @@ object SubChunker {
     val sizes = new Array[Long](n)
     var numSc = 0
     var grouped = 0
+    var raw = 0L
     val next = fill // reused: a bag's links; -1 ends it
     val tail = new Array[Int](n)
     val len = new Array[Int](n) // > 0 while the bag at u is pending
@@ -160,11 +171,14 @@ object SubChunker {
         if (du < dr || (du == dr && cks(u) < cks(root))) { root = u; dr = du }
         u = next(u)
       }
-      var size = RecordModel.size(cks(root), spec) + 16L * len(head)
+      // the root in full, the others as diffs
+      var size = 16L * len(head)
       u = head
       while (u != -1) {
         recordSc(u) = numSc
-        if (u != root) size += RecordModel.diffSize(cks(u), spec)
+        val s = RecordModel.size(cks(u), spec)
+        raw += s
+        size += (if (u == root) s else RecordModel.diffSizeOf(s, spec))
         u = next(u)
       }
       reps(numSc) = cks(root)
@@ -226,6 +240,6 @@ object SubChunker {
       r += 1
     }
     if (grouped != n) throw new IllegalArgumentException("record left without a sub-chunk")
-    (recordSc, java.util.Arrays.copyOf(reps, numSc), java.util.Arrays.copyOf(sizes, numSc))
+    (recordSc, java.util.Arrays.copyOf(reps, numSc), java.util.Arrays.copyOf(sizes, numSc), raw)
   }
 }

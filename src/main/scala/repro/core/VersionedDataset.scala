@@ -147,8 +147,21 @@ final class VersionedDataset(
     val ids = new Array[Array[Int]](tree.size)
     for (v <- ids.indices) ids(v) = new Array[Int](deltas(v).adds.length)
     val filled = new Array[Int](tree.size)
-    var i = 0
-    while (i < uniqueCks.length) {
+    var lo = 0
+    while (lo < uniqueCks.length) lo = addIdsOfKey(lo, ids, filled)
+    ids
+  }
+
+  /** `addIds` for the records of one key: the range of `uniqueCks` that
+    * starts at `lo`; returns its end. A method per key, so that the JIT
+    * compiles it by call count within the first walk. A single loop over
+    * every record runs once per dataset; on 43 K records it stayed
+    * interpreted into the second walk (7-12 ms there, 1 ms compiled).
+    */
+  private def addIdsOfKey(lo: Int, ids: Array[Array[Int]], filled: Array[Int]): Int = {
+    val key = Ck.key(uniqueCks(lo))
+    var i = lo
+    while (i < uniqueCks.length && Ck.key(uniqueCks(i)) == key) {
       val ck = uniqueCks(i)
       val v = Ck.version(ck)
       if (v >= tree.size || filled(v) == ids(v).length || deltas(v).adds(filled(v)) != ck)
@@ -157,7 +170,7 @@ final class VersionedDataset(
       filled(v) += 1
       i += 1
     }
-    ids
+    i
   }
 
   private def deletesAbsent(v: Int): Nothing =

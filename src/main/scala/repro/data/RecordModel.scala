@@ -27,8 +27,11 @@ object RecordModel {
     * parent. A modification changes at most a `P_d` fraction of the record
     * (§5.3), plus a small fixed framing overhead.
     */
-  def diffSize(ck: Long, spec: DatasetSpec): Long =
-    math.max(4L, math.ceil(spec.pd * size(ck, spec)).toLong)
+  def diffSize(ck: Long, spec: DatasetSpec): Long = diffSizeOf(size(ck, spec), spec)
+
+  /** `diffSize` of a record whose `size` is `recordSize`. */
+  def diffSizeOf(recordSize: Long, spec: DatasetSpec): Long =
+    math.max(4L, math.ceil(spec.pd * recordSize).toLong)
 
   /** Bytes to encode a deletion in a delta (just the composite key). */
   val TombstoneSize: Long = 16L
