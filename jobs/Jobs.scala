@@ -79,7 +79,7 @@ object QueryPerfJob {
       val rows = Experiments.queryPerf(spec)
       println(TableFmt.render(s"Fig 11 — query times (${spec.name}, simulated secs)",
         Seq("Query", "k", "Algorithm", "Secs"),
-        rows.map(r => Seq(r.query, r.k.toString, r.algorithm, f"${r.secs}%.4f"))))
+        rows.map(r => Seq(r.query, r.k.fold("-")(_.toString), r.algorithm, f"${r.secs}%.4f"))))
     }
   }
 }

@@ -166,12 +166,7 @@ object Span {
     * sorted only when they do not already arrive ascending.
     */
   final class Images(f: Array[Int]) {
-    private val range = {
-      var max = -1
-      var i = 0
-      while (i < f.length) { max = math.max(max, f(i)); i += 1 }
-      max + 1
-    }
+    private val range = maxImage() + 1
     private val stamp = new Array[Int](range)
     private val buf = new Array[Int](range)
     private var tag = 0
@@ -198,6 +193,16 @@ object Span {
     }
 
     def apply(xs: Array[Int]): Array[Int] = apply(xs, 0, xs.length)
+
+    /** The largest value of `f`, or −1; a method, since the JIT cannot
+      * compile a loop in a field initialiser on-stack.
+      */
+    private def maxImage(): Int = {
+      var max = -1
+      var i = 0
+      while (i < f.length) { max = math.max(max, f(i)); i += 1 }
+      max
+    }
   }
 
   /** Per row of `members`, its sorted distinct image under `f`. With

@@ -126,7 +126,7 @@ final class VersionDag(val parents: Array[List[Int]]) {
     * edge (the first-listed parent, mirroring the paper's arbitrary choice of
     * `V_6` in Fig 4) and dropping the rest. Records that arrived exclusively
     * through a dropped edge are renamed by the caller to appear as fresh
-    * inserts in the merge version — see `VersionedDataset.fromDag`.
+    * inserts in the merge version — see `DagToTree.convert`.
     *
     * @return the tree plus, for each version, the dropped parent list
     */

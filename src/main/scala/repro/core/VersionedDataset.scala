@@ -53,10 +53,17 @@ final class VersionedDataset(
     n = 0
     for (d <- deltas) { System.arraycopy(d.adds, 0, out, n, d.adds.length); n += d.adds.length }
     java.util.Arrays.sort(out)
-    var i = 1
-    while (i < out.length && out(i - 1) != out(i)) i += 1
-    require(i >= out.length, s"record ${Ck.show(out(i))} is added by more than one delta")
+    requireDistinct(out)
     out
+  }
+
+  /** Rejects a record two deltas add; a method, since the JIT cannot compile
+    * a loop in a field initialiser on-stack.
+    */
+  private def requireDistinct(sorted: Array[Long]): Unit = {
+    var i = 1
+    while (i < sorted.length && sorted(i - 1) != sorted(i)) i += 1
+    require(i >= sorted.length, s"record ${Ck.show(sorted(i))} is added by more than one delta")
   }
 
   /** Dense item id of a composite key (position in `uniqueCks`). */

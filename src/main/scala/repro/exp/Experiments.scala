@@ -91,47 +91,29 @@ object Experiments {
     val s = ds.itemSizes.sum.toDouble / ds.uniqueCks.length // measured avg record size
     val mv = m.toDouble
     // measured compression: avg diff size / avg record size
-    val c = ds.uniqueCks.filter(ds.lineage(_).isDefined)
-      .map(RecordModel.diffSize(_, spec)).sum.toDouble /
-      math.max(1, ds.uniqueCks.count(ds.lineage(_).isDefined)) / s
+    val modified = ds.uniqueCks.filter(ds.parentOf(_) >= 0)
+    val c = modified.map(RecordModel.diffSize(_, spec)).sum.toDouble / math.max(1, modified.length) / s
     val rnd = new Random(seed)
     val versions = Seq.fill(20)(rnd.nextInt(n))
-    def avg(xs: Seq[Long]): Long = xs.sum / xs.length
-
-    val indep = new IndependentChunkedLayout(ds, capacity)
-    val delta = new DeltaLayout(ds, capacity)
-    val sub = new SubChunkLayout(ds)
-    val single = new SingleAddressLayout(ds)
     val points = versions.map { v =>
       val live = ds.members(v)
       (v, Ck.key(live(rnd.nextInt(live.length))))
     }
+    def avg(xs: Seq[Long]): Long = xs.sum / xs.length
 
+    // each layout with its closed forms: storage, version bytes, version queries
     Seq(
-      CostRow("Independent w/chunking",
-        indep.storageBytes, n * mv * s,
-        avg(versions.map(indep.versionCost(_).bytes)), avg(versions.map(indep.versionCost(_).queries)),
-        mv * s, mv * s / capacity,
-        indep.pointCost.bytes, indep.pointCost.queries),
-      CostRow("Delta",
-        delta.storageBytes, mv * s + c * d * (n - 1) * mv * s,
-        avg(versions.map(delta.versionCost(_).bytes)), avg(versions.map(delta.versionCost(_).queries)),
-        mv * s + c * d * (n - 1) * mv * s / 2, n / 2.0,
-        avg(points.map(p => delta.pointCost(p._1, p._2).bytes)),
-        avg(points.map(p => delta.pointCost(p._1, p._2).queries))),
-      CostRow("SubChunk",
-        sub.storageBytes, mv * s + c * d * (n - 1) * mv * s,
-        avg(versions.map(sub.versionCost(_).bytes)), avg(versions.map(sub.versionCost(_).queries)),
-        mv * (s + c * d * (n - 1) * s), mv,
-        avg(points.map(p => sub.pointCost(p._2).bytes)),
-        avg(points.map(p => sub.pointCost(p._2).queries))),
-      CostRow("Single-address space",
-        single.storageBytes, mv * s + d * (n - 1) * mv * s,
-        avg(versions.map(single.versionCost(_).bytes)), avg(versions.map(single.versionCost(_).queries)),
-        mv * s, mv * s,
-        avg(points.map(p => single.pointCost(p._1, p._2).bytes)),
-        avg(points.map(p => single.pointCost(p._1, p._2).queries))),
-    )
+      new IndependentChunkedLayout(ds, capacity) -> (n * mv * s, mv * s, mv * s / capacity),
+      new DeltaLayout(ds, capacity) ->
+        (mv * s + c * d * (n - 1) * mv * s, mv * s + c * d * (n - 1) * mv * s / 2, n / 2.0),
+      new SubChunkLayout(ds) -> (mv * s + c * d * (n - 1) * mv * s, mv * (s + c * d * (n - 1) * s), mv),
+      new SingleAddressLayout(ds) -> (mv * s + d * (n - 1) * mv * s, mv * s, mv * s),
+    ).map { case (l, (storageF, versionBytesF, versionQueriesF)) =>
+      val vc = versions.map(l.versionCost)
+      val pc = points.map { case (v, key) => l.pointCost(v, key) }
+      CostRow(l.name, l.storageBytes, storageF, avg(vc.map(_.bytes)), avg(vc.map(_.queries)),
+        versionBytesF, versionQueriesF, avg(pc.map(_.bytes)), avg(pc.map(_.queries)))
+    }
   }
 
   /** A chain where every change is a modification (no inserts/deletes) —
@@ -227,8 +209,13 @@ object Experiments {
   // Fig 11 — query processing performance (simulated seconds)
   // -------------------------------------------------------------------------
 
-  final case class QueryPerfRow(datasetName: String, query: String, k: Int,
+  /** One Fig 11 cell; `k` is the sub-chunk size, which a baseline has none of. */
+  final case class QueryPerfRow(datasetName: String, query: String, k: Option[Int],
                                 algorithm: String, secs: Double)
+
+  /** Total simulated seconds of a sequence of queries. */
+  private def secs(cost: CostModel, costs: Seq[RetrievalCost]): Double =
+    costs.map(c => cost.timeSecs(c.queries, c.bytes)).sum
 
   def queryPerf(spec: DatasetSpec,
                 ks: Seq[Int] = Seq(1, 5, 10, 25, 50),
@@ -245,45 +232,24 @@ object Experiments {
       (v, lo, lo + keySpanRange)
     }
     val cost = CostModel()
+    def rows(algorithm: String, k: Option[Int], l: RangeCostLayout, q3Secs: Double): Seq[QueryPerfRow] =
+      Seq("Q1" -> secs(cost, qVersions.map(l.versionCost)),
+        "Q2" -> secs(cost, qRanges.map { case (v, lo, hi) => l.rangeCost(v, lo, hi) }),
+        "Q3" -> q3Secs).map { case (q, t) => QueryPerfRow(spec.name, q, k, algorithm, t) }
 
-    val rows = mutable.ArrayBuffer.empty[QueryPerfRow]
-    for (k <- ks; p <- partitioners.filterNot(_.name == "BreadthFirst")) {
+    val rstore = for (k <- ks; p <- partitioners.filterNot(_.name == "BreadthFirst")) yield {
       val sub = SubChunker.build(ds, k)
-      val a = p.partition(sub.input, capacity)
-      val qp = new QueryProcessor(ds, sub, a, new SimulatedKVS(1, cost))
+      val qp = new QueryProcessor(ds, sub, p.partition(sub.input, capacity), new SimulatedKVS(1, cost))
       qp.populate()
-      def timed(run: => RetrievalCost): Double = {
-        val c = run
-        cost.timeSecs(c.queries, c.bytes)
-      }
-      rows += QueryPerfRow(spec.name, "Q1", k, p.name,
-        qVersions.map(v => timed(qp.fullVersion(v)._2)).sum)
-      rows += QueryPerfRow(spec.name, "Q2", k, p.name,
-        qRanges.map { case (v, lo, hi) => timed(qp.range(v, lo, hi)._2) }.sum)
-      rows += QueryPerfRow(spec.name, "Q3", k, p.name,
-        qKeys.map(key => timed(qp.evolution(key)._2)).sum)
+      rows(p.name, Some(k), qp, secs(cost, qKeys.map(qp.evolutionCost)))
     }
-    // DELTA supports no record-level compression: reported at k=1 only
     val delta = new DeltaLayout(ds, capacity)
-    rows += QueryPerfRow(spec.name, "Q1", 1, "Delta",
-      qVersions.map(v => { val c = delta.versionCost(v); cost.timeSecs(c.queries, c.bytes) }).sum)
-    // Q2 on DELTA reconstructs the full version then filters (§5.4)
-    rows += QueryPerfRow(spec.name, "Q2", 1, "Delta",
-      qRanges.map { case (v, _, _) => val c = delta.versionCost(v); cost.timeSecs(c.queries, c.bytes) }.sum)
-    rows += QueryPerfRow(spec.name, "Q3", 1, "Delta",
-      { val c = delta.evolutionCost; qKeys.length * cost.timeSecs(c.queries, c.bytes) / ds.tree.size })
-    // SUBCHUNK baseline (caption numbers in Fig 11)
     val subL = new SubChunkLayout(ds)
-    rows += QueryPerfRow(spec.name, "Q1", 0, "SubChunk",
-      qVersions.map(v => { val c = subL.versionCost(v); cost.timeSecs(c.queries, c.bytes) }).sum)
-    rows += QueryPerfRow(spec.name, "Q2", 0, "SubChunk",
-      qRanges.map { case (v, lo, hi) =>
-        val keys = ds.members(v).map(Ck.key).filter(key => key >= lo && key <= hi)
-        cost.timeSecs(keys.length.toLong, keys.map(subL.keyBytes).sum)
-      }.sum)
-    rows += QueryPerfRow(spec.name, "Q3", 0, "SubChunk",
-      qKeys.map(key => { val c = subL.evolutionCost(key); cost.timeSecs(c.queries, c.bytes) }).sum)
-    rows.toSeq
+    rstore.flatten ++
+      // DELTA's Q3 is charged one average version reconstruction per key,
+      // although `evolutionCost` models reconstructing every version
+      rows(delta.name, None, delta, qKeys.length * secs(cost, Seq(delta.evolutionCost)) / ds.tree.size) ++
+      rows(subL.name, None, subL, secs(cost, qKeys.map(subL.evolutionCost)))
   }
 
   // -------------------------------------------------------------------------
@@ -309,15 +275,11 @@ object Experiments {
       val qVersions = Seq.fill(nQueries)(rnd.nextInt(ds.tree.size))
       val allKeys = ds.uniqueCks.map(Ck.key).distinct
       val qKeys = Seq.fill(nQueries)(allKeys(rnd.nextInt(allKeys.length)))
-      val q1 = qVersions.map { v =>
-        val c = qp.fullVersion(v)._2; kvs.cost.timeSecs(c.queries, c.bytes)
-      }
-      val q3 = qKeys.map { key =>
-        val c = qp.evolution(key)._2; kvs.cost.timeSecs(c.queries, c.bytes)
-      }
       ScalabilityRow(spec.name, nn,
-        q1.sum / nQueries, qVersions.map(qp.versionSpan(_).toDouble).sum / nQueries,
-        q3.sum / nQueries, qKeys.map(qp.keySpan(_).toDouble).sum / nQueries)
+        secs(kvs.cost, qVersions.map(qp.versionCost)) / nQueries,
+        qVersions.map(qp.versionSpan(_).toDouble).sum / nQueries,
+        secs(kvs.cost, qKeys.map(qp.evolutionCost)) / nQueries,
+        qKeys.map(qp.keySpan(_).toDouble).sum / nQueries)
     }
 
   // -------------------------------------------------------------------------

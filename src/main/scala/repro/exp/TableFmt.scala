@@ -13,7 +13,6 @@ object TableFmt {
     (s"== $title ==" +: line(headers) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  def gb(bytes: Long): String = f"${bytes / 1073741824.0}%.2f"
   def mb(bytes: Long): String = f"${bytes / 1048576.0}%.2f"
   def kb(bytes: Long): String = f"${bytes / 1024.0}%.1f"
   def secs(s: Double): String = f"$s%.2f"

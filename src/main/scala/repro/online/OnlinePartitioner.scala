@@ -3,8 +3,6 @@ package repro.online
 import repro.core._
 import repro.data.RecordModel
 
-import scala.collection.mutable
-
 /** Online partitioning (§4).
   *
   * New versions are not placed immediately: their deltas accumulate in a
@@ -26,35 +24,37 @@ import scala.collection.mutable
 final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: Int) {
   require(batchSize >= 1)
 
-  /** State after ingesting a number of versions. Spans are evaluated with
-    * `Span.total` over the matching `ds.prefix(n)`, whose items map to chunks
-    * as `Assignment(prefix.uniqueCks.map(ckChunk), numChunks)`.
+  /** State after ingesting a number of versions: `itemChunk` maps each
+    * dataset item to its chunk, −1 while not placed yet. Spans are evaluated
+    * with `Span.total` over the matching `ds.prefix(n)`, whose items map to
+    * chunks as `Assignment(prefix.uniqueCks.map(ckChunk), numChunks)`.
     */
-  final case class State(ckChunk: mutable.LongMap[Int], numChunks: Int)
+  final class State(val itemChunk: Array[Int], val numChunks: Int) {
+    /** The chunk of a dataset record, −1 if it is not placed yet. */
+    def ckChunk(ck: Long): Int = itemChunk(ds.itemOf(ck))
+  }
 
   /** Ingest versions `0 until upTo` in batches and return the placement. */
   def run(upTo: Int): State = {
     require(upTo >= 1 && upTo <= ds.tree.size)
-    val ckChunk = mutable.LongMap.empty[Int]
+    val itemChunk = Array.fill(ds.uniqueCks.length)(-1)
     // dataset item id → local item id in the current batch, −1 outside it
     val local = Array.fill(ds.uniqueCks.length)(-1)
     var chunkBase = 0
     var b0 = 0
     while (b0 < upTo) {
       val b1 = math.min(b0 + batchSize, upTo)
-      val a = partitionBatch(b0, b1, local)
-      a._1.foreachEntry((ck, c) => ckChunk(ck) = chunkBase + c)
-      chunkBase += a._2
+      chunkBase += partitionBatch(b0, b1, local, itemChunk, chunkBase)
       b0 = b1
     }
-    State(ckChunk, chunkBase)
+    new State(itemChunk, chunkBase)
   }
 
-  /** Partition the records originating in versions `[b0, b1)`; returns
-    * ck→local-chunk and the local chunk count. `local` is all −1 on entry
-    * and on return.
+  /** Partition the records originating in versions `[b0, b1)` into chunks
+    * from `chunkBase` on, written to `itemChunk`; returns the batch's chunk
+    * count. `local` is all −1 on entry and on return.
     */
-  private def partitionBatch(b0: Int, b1: Int, local: Array[Int]): (mutable.LongMap[Int], Int) = {
+  private def partitionBatch(b0: Int, b1: Int, local: Array[Int], itemChunk: Array[Int], chunkBase: Int): Int = {
     val batchLen = b1 - b0
     // new records of the batch, with dense local item ids
     val newCks: Array[Long] = {
@@ -90,8 +90,7 @@ final class OnlinePartitioner(ds: VersionedDataset, capacity: Long, batchSize: I
     val sizes = newCks.map(ck => RecordModel.subChunkCompressedSize(ck, Nil, ds.spec))
     val in = PartitionInput(new VersionTree(parent), members, sizes)
     val a = new BottomUpPartitioner().partition(in, capacity)
-    val out = mutable.LongMap.empty[Int]
-    newCks.indices.foreach(i => out(newCks(i)) = a.itemChunk(i))
-    (out, a.numChunks)
+    newItems.indices.foreach(i => itemChunk(newItems(i)) = chunkBase + a.itemChunk(i))
+    a.numChunks
   }
 }

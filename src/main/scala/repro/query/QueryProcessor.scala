@@ -1,6 +1,6 @@
 package repro.query
 
-import repro.core.{Assignment, Ck, RetrievalCost, SubChunking, VersionedDataset}
+import repro.core.{Assignment, Ck, RangeCostLayout, RetrievalCost, SubChunking, VersionedDataset}
 import repro.index.ChunkIndexes
 import repro.kvs.{Blob, KeyValueStore}
 
@@ -11,14 +11,15 @@ import repro.kvs.{Blob, KeyValueStore}
   * lossy projections pick the chunks to fetch, and the per-chunk maps
   * (reconstructed here from the dataset — in aggregate they carry exactly
   * the membership matrix) extract the requested records. Every query
-  * returns both its answer (composite keys) and its backend cost.
+  * returns both its answer (composite keys) and its backend cost; as a
+  * `RangeCostLayout` it reports the cost alone.
   */
 final class QueryProcessor(
     val ds: VersionedDataset,
     val sc: SubChunking,
     val assignment: Assignment,
     val kvs: KeyValueStore,
-) {
+) extends RangeCostLayout {
   val indexes: ChunkIndexes = ChunkIndexes.build(ds, sc, assignment)
 
   /** Load every chunk into the KVS (done once at layout time). */
@@ -98,6 +99,11 @@ final class QueryProcessor(
     }
     (Some(ck), fetch(hit, 0, n))
   }
+
+  def versionCost(v: Int): RetrievalCost = fullVersion(v)._2
+  def rangeCost(v: Int, loKey: Long, hiKey: Long): RetrievalCost = range(v, loKey, hiKey)._2
+  def evolutionCost(key: Long): RetrievalCost = evolution(key)._2
+  def pointCost(v: Int, key: Long): RetrievalCost = point(v, key)._2
 
   /** Span of a version under this layout (chunks to fetch for Q1). */
   def versionSpan(v: Int): Int = indexes.versionToChunks(v).length

@@ -55,6 +55,15 @@ class BaselinesSpec extends AnyFunSuite {
     assert(dl.evolutionCost.queries == (0 until ds.tree.size).map(dl.versionCost(_).queries).sum)
   }
 
+  test("delta range retrieval costs its full version retrieval") {
+    val dl = new DeltaLayout(ds, capacity)
+    val keys = ds.uniqueCks.map(Ck.key).distinct
+    (0 until ds.tree.size by 3).foreach { v =>
+      assert(dl.rangeCost(v, keys(3), keys(keys.length / 2)) == dl.versionCost(v))
+      assert(dl.rangeCost(v, Long.MinValue, Long.MaxValue) == dl.versionCost(v))
+    }
+  }
+
   // ---- SUBCHUNK ------------------------------------------------------------
 
   test("subchunk stores one object per key") {
@@ -72,8 +81,27 @@ class BaselinesSpec extends AnyFunSuite {
   test("subchunk point and evolution queries cost a single request") {
     val sl = new SubChunkLayout(ds)
     val key = Ck.key(ds.members(0).head)
-    assert(sl.pointCost(key).queries == 1)
+    assert(sl.pointCost(0, key).queries == 1)
     assert(sl.evolutionCost(key).queries == 1)
+  }
+
+  test("subchunk range retrieval fetches one object per live key in the range") {
+    val sl = new SubChunkLayout(ds)
+    val keys = ds.uniqueCks.map(Ck.key).distinct
+    val (lo, hi) = (keys(5), keys(keys.length / 2))
+    (0 until ds.tree.size by 4).foreach { v =>
+      val live = ds.members(v).map(Ck.key).filter(k => k >= lo && k <= hi)
+      assert(live.nonEmpty)
+      assert(sl.rangeCost(v, lo, hi) == RetrievalCost(live.length, live.map(sl.keyBytes).sum))
+    }
+    assert(sl.rangeCost(0, hi, lo) == RetrievalCost(0, 0))
+  }
+
+  test("subchunk point cost ignores the version") {
+    val sl = new SubChunkLayout(ds)
+    val key = Ck.key(ds.members(ds.tree.size - 1).head)
+    val costs = (0 until ds.tree.size).map(sl.pointCost(_, key))
+    assert(costs.forall(_ == RetrievalCost(1, sl.keyBytes(key))))
   }
 
   test("subchunk storage is compressed relative to raw records") {
@@ -134,6 +162,12 @@ class BaselinesSpec extends AnyFunSuite {
       val c = ic.versionCost(v)
       assert(c.queries == (ic.versionBytes(v) + capacity - 1) / capacity)
     }
+  }
+
+  test("independent chunking point cost is one chunk, whatever the version and key") {
+    val ic = new IndependentChunkedLayout(ds, capacity)
+    for (v <- Seq(0, ds.tree.size - 1); ck <- ds.members(v).take(3))
+      assert(ic.pointCost(v, Ck.key(ck)) == RetrievalCost(1, capacity))
   }
 
   // ---- Table-1 cross-check -------------------------------------------------

@@ -71,6 +71,42 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(rows.filter(r => r.algorithm != "SubChunk").forall(_.secs >= 0))
   }
 
+  test("queryPerf: golden seconds of every row") {
+    val spec = DatasetSpec.tiny("expqp", 15, 60, skewed = false, 2, seed = 125)
+    val rows = Experiments.queryPerf(spec, ks = Seq(1, 3), capacity = 1024, nQ1 = 5, nQ3 = 5)
+    // (query, algorithm, secs) in row order: BottomUp, Shingle and DepthFirst
+    // at k = 1, then at k = 3, then Delta and SubChunk
+    val golden = Seq(
+      ("Q1", "BottomUp", "0.027833"), ("Q2", "BottomUp", "0.011267"), ("Q3", "BottomUp", "0.007952"),
+      ("Q1", "Shingle", "0.027167"), ("Q2", "Shingle", "0.014575"), ("Q3", "Shingle", "0.007952"),
+      ("Q1", "DepthFirst", "0.029821"), ("Q2", "DepthFirst", "0.007952"), ("Q3", "DepthFirst", "0.008615"),
+      ("Q1", "BottomUp", "0.029828"), ("Q2", "BottomUp", "0.008615"), ("Q3", "BottomUp", "0.003973"),
+      ("Q1", "Shingle", "0.027844"), ("Q2", "Shingle", "0.008616"), ("Q3", "Shingle", "0.004640"),
+      ("Q1", "DepthFirst", "0.028508"), ("Q2", "DepthFirst", "0.005303"), ("Q3", "DepthFirst", "0.003977"),
+      ("Q1", "Delta", "0.028287"), ("Q2", "Delta", "0.028287"), ("Q3", "Delta", "0.026979"),
+      ("Q1", "SubChunk", "0.210432"), ("Q2", "SubChunk", "0.016932"), ("Q3", "SubChunk", "0.003257"))
+    assert(rows.map(r => (r.query, r.algorithm, f"${r.secs}%.6f")) == golden)
+  }
+
+  test("queryPerf: RStore rows carry their sub-chunk size, baseline rows none") {
+    val spec = DatasetSpec.tiny("expqp", 15, 60, skewed = false, 2, seed = 125)
+    val rows = Experiments.queryPerf(spec, ks = Seq(1, 3), capacity = 1024, nQ1 = 5, nQ3 = 5)
+    assert(rows.map(_.k) == Seq.fill(9)(Some(1)) ++ Seq.fill(9)(Some(3)) ++ Seq.fill(6)(None))
+  }
+
+  test("costTable: golden rows, every field") {
+    val rows = Experiments.costTable(n = 30, m = 500, d = 0.05, meanSize = 256, capacity = 8192, seed = 3)
+    assert(rows == Seq(
+      Experiments.CostRow("Independent w/chunking", 3869667, 3852220.4081632653, 129346, 16,
+        128407.3469387755, 15.674724968112244, 8192, 1),
+      Experiments.CostRow("Delta", 161076, 147114.3469387755, 144415, 29,
+        137760.8469387755, 15.0, 109113, 22),
+      Experiments.CostRow("SubChunk", 169076, 147114.3469387755, 169076, 500,
+        147114.3469387755, 500.0, 328, 1),
+      Experiments.CostRow("Single-address space", 314598, 314598.0, 129346, 500,
+        128407.3469387755, 128407.3469387755, 261, 1)))
+  }
+
   test("datasetsTable computes stats for custom specs") {
     val spec = DatasetSpec.tiny("expds", 12, 50, skewed = true, 2, seed = 126)
     val st = Experiments.datasetsTable(Seq(spec))

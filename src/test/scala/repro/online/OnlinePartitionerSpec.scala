@@ -28,7 +28,7 @@ class OnlinePartitionerSpec extends AnyFunSuite {
     for (batch <- Seq(5, 10, 40)) {
       val st = new OnlinePartitioner(ds, capacity, batch).run(40)
       (0 until 40).foreach { v =>
-        ds.members(v).foreach(ck => assert(st.ckChunk.contains(ck), Ck.show(ck)))
+        ds.members(v).foreach(ck => assert(st.ckChunk(ck) >= 0, Ck.show(ck)))
       }
     }
   }
