@@ -42,7 +42,6 @@ final class DeltaLayout(ds: VersionedDataset, capacity: Long)
     deltaBytesPerVersion.map(b => math.max(1L, (b + capacity - 1) / capacity))
 
   def storageBytes: Long = deltaBytesPerVersion.sum
-  def numChunks: Long = chunksPerVersion.sum
 
   def versionSpan(v: Int): Long = ds.tree.pathFromRoot(v).map(chunksPerVersion).sum
   def totalVersionSpan: Long = (0 until ds.tree.size).map(versionSpan).sum
@@ -63,7 +62,10 @@ final class DeltaLayout(ds: VersionedDataset, capacity: Long)
   }
 
   /** Record evolution requires reconstructing every version (§5.4 calls this
-    * impractical for DELTA) — cost is the sum of all version costs.
+    * impractical for DELTA) — cost is the sum of all version costs. Fig 11
+    * (`Experiments.queryPerf`) does not charge this per key: it charges
+    * `qKeys.length × time(evolutionCost) / n`, one average version
+    * reconstruction per key.
     */
   def evolutionCost: RetrievalCost =
     (0 until ds.tree.size).map(versionCost).reduce(_ + _)

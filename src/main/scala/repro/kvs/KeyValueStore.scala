@@ -49,9 +49,12 @@ trait KeyValueStore {
   def multiGet(keys: Seq[Long]): Seq[Blob]
 
   /** Fetch the values under `ids(from until until)`, in order, for their
-    * traffic only (the query path's batch read). By default one `multiGet`
-    * of the same ids as `Long`s; a store on the query path overrides it
-    * with a loop that boxes nothing.
+    * traffic only (the query path's batch read). The ids are chunk ids:
+    * dense and non-negative. By default one `multiGet` of the same ids as
+    * `Long`s; a store on the query path overrides it with a loop that
+    * boxes nothing (`SimulatedKVS` reads each id's size and node from
+    * arrays indexed by id). An id with no value throws
+    * `NoSuchElementException`.
     */
   def fetch(ids: Array[Int], from: Int, until: Int): Unit =
     multiGet(ArraySeq.unsafeWrapArray(ids.slice(from, until).map(_.toLong)))

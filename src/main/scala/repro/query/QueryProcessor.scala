@@ -23,8 +23,11 @@ final class QueryProcessor(
   val indexes: ChunkIndexes = ChunkIndexes.build(ds, sc, assignment)
 
   /** Load every chunk into the KVS (done once at layout time). */
-  def populate(): Unit =
-    indexes.chunkBytes.zipWithIndex.foreach { case (b, c) => kvs.put(c.toLong, Blob(b)) }
+  def populate(): Unit = {
+    val bytes = indexes.chunkBytes
+    var c = 0
+    while (c < bytes.length) { kvs.put(c.toLong, Blob(bytes(c))); c += 1 }
+  }
 
   /** Fetch `chunks(from until until)` in one batch; the traffic it adds. */
   private def fetch(chunks: Array[Int], from: Int, until: Int): RetrievalCost = {

@@ -140,6 +140,16 @@ class AllocationBudgetSpec extends AnyFunSuite {
     checkQueries("Q3", keys.length, q3, perQuery * keys.length + answers)
   }
 
+  test("SimulatedKVS.fetch allocates nothing") {
+    val (qp, _, _) = queries
+    val rows = qp.indexes.versionToChunks
+    val bytes = allocated {
+      var i = 0
+      while (i < 10000) { val r = rows(i % rows.length); qp.kvs.fetch(r, 0, r.length); i += 1 }
+    }
+    checkQueries("fetch", 10000, bytes, 0)
+  }
+
   test("Q2 and point allocate at most 4 B per chunk of the version besides a constant and the answer") {
     val (qp, ranges, points) = queries
     val q2 = allocated {

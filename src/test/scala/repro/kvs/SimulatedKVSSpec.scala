@@ -55,6 +55,61 @@ class SimulatedKVSSpec extends AnyFunSuite {
     intercept[NoSuchElementException](kvs.fetch(Array(1, 4), 0, 2))
   }
 
+  test("get and fetch of an id never put fail, inside or past the grown range") {
+    val kvs = new SimulatedKVS(2)
+    kvs.put(0L, Blob(10))
+    kvs.put(5L, Blob(20))
+    intercept[NoSuchElementException](kvs.get(3L))
+    intercept[NoSuchElementException](kvs.fetch(Array(0, 3), 0, 2))
+    intercept[NoSuchElementException](kvs.get(6L))
+    intercept[NoSuchElementException](kvs.fetch(Array(6), 0, 1))
+    intercept[NoSuchElementException](kvs.get(-1L))
+    intercept[NoSuchElementException](kvs.fetch(Array(-1), 0, 1))
+    kvs.fetch(Array(5, 0), 0, 2)
+    assert(kvs.tally.bytes == 30)
+  }
+
+  test("put of a key outside [0, Int.MaxValue) fails, naming the key") {
+    val kvs = new SimulatedKVS(2)
+    for (key <- Seq(-1L, Int.MaxValue.toLong + 1)) {
+      val e = intercept[IllegalArgumentException](kvs.put(key, Blob(1)))
+      assert(e.getMessage.contains(key.toString))
+    }
+    assert(kvs.storedObjects == 0)
+  }
+
+  test("an empty blob is stored and fetched with 0 bytes") {
+    val kvs = new SimulatedKVS(2)
+    kvs.put(2L, Blob(0))
+    assert(kvs.storedObjects == 1 && kvs.storedBytes == 0)
+    kvs.fetch(Array(2), 0, 1)
+    assert((kvs.tally.requests, kvs.tally.bytes) == (1L, 0L))
+    assert(kvs.get(2L) == Blob(0))
+  }
+
+  test("an overwrite changes what fetch tallies and the stored bytes") {
+    val kvs = new SimulatedKVS(3)
+    kvs.put(4L, Blob(100))
+    kvs.fetch(Array(4), 0, 1)
+    kvs.put(4L, Blob(30))
+    assert(kvs.storedObjects == 1 && kvs.storedBytes == 30)
+    kvs.tally.reset()
+    kvs.fetch(Array(4, 4), 0, 2)
+    assert((kvs.tally.requests, kvs.tally.bytes) == (2L, 60L))
+    assert(kvs.requestsPerNode.sum == 3)
+  }
+
+  test("placement is the key's hash modulo the node count") {
+    val nodes = 8
+    val kvs = new SimulatedKVS(nodes)
+    (0 until 1000).foreach(i => kvs.put(i.toLong, Blob(1)))
+    kvs.fetch(Array.range(0, 1000), 0, 1000)
+    val expected = new Array[Long](nodes)
+    for (i <- 0 until 1000)
+      expected(((repro.core.Hash64(i.toLong, 0xdecaf) % nodes + nodes) % nodes).toInt) += 1
+    assert(kvs.requestsPerNode == expected.toSeq)
+  }
+
   test("the default fetch is one multiGet of the requested ids, in order") {
     val inner = new SimulatedKVS(2)
     (0 until 10).foreach(i => inner.put(i.toLong, Blob(1)))
