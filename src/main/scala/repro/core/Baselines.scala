@@ -89,7 +89,6 @@ final class SubChunkLayout(ds: VersionedDataset) extends BaselineLayout("SubChun
   lazy val allKeys: Array[Long] = ds.uniqueCks.map(Ck.key).distinct
 
   def storageBytes: Long = allKeys.map(keyBytes).sum
-  def numObjects: Long = allKeys.length.toLong
 
   /** Version retrieval touches one object per key in the version. */
   def versionCost(v: Int): RetrievalCost = rangeCost(v, Long.MinValue, Long.MaxValue)
@@ -110,7 +109,6 @@ final class SubChunkLayout(ds: VersionedDataset) extends BaselineLayout("SubChun
   */
 final class SingleAddressLayout(ds: VersionedDataset) extends BaselineLayout("Single-address space") {
   def storageBytes: Long = ds.itemSizes.sum
-  def numObjects: Long = ds.uniqueCks.length.toLong
 
   def versionCost(v: Int): RetrievalCost =
     RetrievalCost(ds.members(v).length.toLong,
@@ -119,11 +117,6 @@ final class SingleAddressLayout(ds: VersionedDataset) extends BaselineLayout("Si
   def pointCost(v: Int, key: Long): RetrievalCost = {
     val ck = Ck.pack(key, ds.originOf(v, key))
     RetrievalCost(1, RecordModel.size(ck, ds.spec))
-  }
-
-  def evolutionCost(key: Long): RetrievalCost = {
-    val records = ds.recordsOfKey(key)
-    RetrievalCost(records.length.toLong, records.map(RecordModel.size(_, ds.spec)).sum)
   }
 }
 

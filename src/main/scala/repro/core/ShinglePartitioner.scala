@@ -9,8 +9,8 @@ package repro.core
   *
   * `partition` computes and sorts the shingles on the driver (`driverOrder`):
   * at the scales run here that is more than an order of magnitude faster
-  * than shipping the (item, version) relation to Spark. The same computation
-  * as a DataFrame job, `SparkQueries.shingleOrder`, is a test cross-check.
+  * than shipping the (item, version) relation to Spark. `ShingleSpec`
+  * cross-checks it against the same order computed in SQL by `repro.Oracle`.
   */
 final class ShinglePartitioner(val numShingles: Int = 4, val seed: Long = 0x5417L)
     extends Partitioner {

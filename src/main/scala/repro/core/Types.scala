@@ -5,8 +5,7 @@ package repro.core
   * The paper addresses every distinct record by a composite key
   * `(primary key K, version-id V)` where `V` is the version in which this
   * record *originated* (was inserted or last modified). We pack the pair
-  * into a single Long for compact set/array processing on the driver and
-  * cheap columnar handling in Spark:
+  * into a single Long for compact set/array processing on the driver:
   *
   * {{{ ck = (key << VersionBits) | version }}}
   *
@@ -49,7 +48,7 @@ object Ck {
 
 /** Tiny deterministic 64-bit mixing hash (splitmix64 finalizer).
   *
-  * Used wherever both the driver-side model and a Spark/DuckDB side must
+  * Used wherever both the driver-side model and the DuckDB oracle must
   * agree on a pseudo-random but reproducible value (record sizes, payload
   * content, min-hashes in tests).
   */

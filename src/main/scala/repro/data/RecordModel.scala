@@ -4,13 +4,13 @@ import repro.core.{Ck, Hash64}
 
 /** Deterministic model of record sizes, delta sizes, and JSON payloads.
   *
-  * Both the driver-side algorithms and any Spark/DuckDB-side checks must
+  * Both the driver-side algorithms and the DuckDB oracle's checks must
   * agree on record properties, so everything here is a pure function of the
   * packed composite key and the dataset spec.
   *
   * Sizes drive all storage/retrieval accounting at bench scale; payloads are
-  * materialized only in correctness tests (real bytes through the Parquet
-  * chunk store, reconstructed and compared against the oracle).
+  * materialized only in correctness tests (the payload column of the
+  * oracle's chunk relation, read back through a query's fetched chunks).
   */
 object RecordModel {
   private val SizeSeed = 0x5eedL

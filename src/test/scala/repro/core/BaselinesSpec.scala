@@ -66,11 +66,6 @@ class BaselinesSpec extends AnyFunSuite {
 
   // ---- SUBCHUNK ------------------------------------------------------------
 
-  test("subchunk stores one object per key") {
-    val sl = new SubChunkLayout(ds)
-    assert(sl.numObjects == ds.uniqueCks.map(Ck.key).distinct.length)
-  }
-
   test("subchunk version retrieval fetches one object per live key") {
     val sl = new SubChunkLayout(ds)
     (0 until ds.tree.size by 5).foreach { v =>
@@ -120,7 +115,6 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("single-address stores each record once") {
     val sa = new SingleAddressLayout(ds)
-    assert(sa.numObjects == ds.uniqueCks.length)
     assert(sa.storageBytes == ds.itemSizes.sum)
   }
 
@@ -140,12 +134,6 @@ class BaselinesSpec extends AnyFunSuite {
     val c = sa.pointCost(v, key)
     assert(c.queries == 1)
     assert(c.bytes == RecordModel.size(Ck.pack(key, ds.originOf(v, key)), spec))
-  }
-
-  test("single-address evolution touches every record of the key") {
-    val sa = new SingleAddressLayout(ds)
-    val key = Ck.key(ds.members(0).head)
-    assert(sa.evolutionCost(key).queries == ds.recordsOfKey(key).length)
   }
 
   // ---- INDEPENDENT CHUNKED -------------------------------------------------

@@ -1,10 +1,12 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle
 import repro.data.{DatasetSpec, VersionedDataGen}
-import repro.query.SparkQueries
 
-class ShingleSpec extends SparkSpec {
+import scala.util.Using
+
+class ShingleSpec extends AnyFunSuite {
 
   private lazy val ds = VersionedDataGen.generate(
     DatasetSpec.tiny("shingle", 25, 80, skewed = false, 3, seed = 71))
@@ -19,10 +21,23 @@ class ShingleSpec extends SparkSpec {
     SubChunker.build(bds, 10).input
   }
 
-  test("spark order equals the driver reference order") {
-    val p = new ShinglePartitioner()
-    assert(SparkQueries.shingleOrder(spark, p, in).toSeq == p.driverOrder(in).toSeq)
-    assert(SparkQueries.shingleOrder(spark, p, subChunkIn).toSeq == p.driverOrder(subChunkIn).toSeq)
+  /** Asserts that `p`'s shingle order of `in`, computed in SQL over the
+    * `(item, version)` relation, is `order`: per item the min-hash of each
+    * shingle, left-joined to every item id, so that an item in no version
+    * has no hashes and sorts last, then ordered by shingles and item id.
+    */
+  private def checkSqlOrder(p: ShinglePartitioner, in: PartitionInput, order: Seq[Int]): Unit = {
+    val hs = (0 until p.numShingles).map(i => s"h$i")
+    val sql =
+      s"""WITH sh AS (
+         |  SELECT item, ${hs.indices.map(i => s"MIN(hash) FILTER (WHERE i = $i) AS h$i").mkString(", ")}
+         |  FROM items JOIN hashes USING (version) GROUP BY item)
+         |SELECT ROW_NUMBER() OVER (ORDER BY ${hs.map(h => s"coalesce($h, 9223372036854775807)").mkString(", ")}, item) - 1
+         |         AS pos, item
+         |FROM (SELECT range::INTEGER AS item FROM range(${in.numItems})) LEFT JOIN sh USING (item)""".stripMargin
+    Using.resource(Oracle.open(Oracle.items(in), Oracle.hashes(in.members.length, p.numShingles, p.seed))) {
+      _.check(sql, Seq("pos", "item"), order.zipWithIndex.map(_.swap))
+    }
   }
 
   /** 400 items in 9 classes over 12 versions: the items of a class share
@@ -55,13 +70,20 @@ class ShingleSpec extends SparkSpec {
       assert(p.driverOrder(tiedIn).toSeq == referenceOrder(tiedIn, l), s"l = $l")
       assert(p.driverOrder(in).toSeq == referenceOrder(in, l), s"l = $l")
     }
-    // items in no version sort last in the Spark job too
-    assert(SparkQueries.shingleOrder(spark, new ShinglePartitioner(), tiedIn).toSeq == referenceOrder(tiedIn, 4))
+    // items in no version sort last in SQL too
+    checkSqlOrder(new ShinglePartitioner(), tiedIn, referenceOrder(tiedIn, 4))
+  }
+
+  test("SQL order equals the driver order") {
+    for (l <- Seq(1, 4); input <- Seq(in, subChunkIn, tiedIn)) {
+      val p = new ShinglePartitioner(numShingles = l)
+      checkSqlOrder(p, input, p.driverOrder(input).toSeq)
+    }
   }
 
   test("order is a permutation of all items") {
-    val p = new ShinglePartitioner()
-    assert(SparkQueries.shingleOrder(spark, p, in).sorted.toSeq == (0 until in.numItems))
+    for (input <- Seq(in, subChunkIn, tiedIn))
+      assert(new ShinglePartitioner().driverOrder(input).sorted.toSeq == (0 until input.numItems))
   }
 
   test("items with identical version sets sort into one shingle-equal run") {
