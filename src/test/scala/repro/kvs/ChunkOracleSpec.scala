@@ -60,6 +60,14 @@ class ChunkOracleSpec extends AnyFunSuite with BeforeAndAfterAll {
     }
   }
 
+  test("Q1 fetches every chunk holding a record of the version once, and no other") {
+    (0 until ds.tree.size).foreach { v =>
+      qp.fullVersion(v)
+      db.check(s"SELECT DISTINCT chunk FROM chunks JOIN membership USING (key, origin) WHERE version = $v",
+        Seq("chunk"), store.take().map(Tuple1(_)))
+    }
+  }
+
   test("Q2 through the fetched chunks returns the in-range records with payloads") {
     val maxKey = ds.uniqueCks.map(Ck.key).max
     for (v <- 0 until ds.tree.size; (lo, hi) <- Seq((0L, 9L), (5L, 40L), (maxKey - 3, maxKey + 5), (30L, 20L))) {

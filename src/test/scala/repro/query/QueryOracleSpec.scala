@@ -42,6 +42,14 @@ class QueryOracleSpec extends AnyFunSuite {
       }
     }
 
+    test(s"$algoName k=$k: per-version chunk sets agree with DuckDB") {
+      withLayout { (db, sub, a) =>
+        val images = Span.images(sub.scMembersOrig, a.itemChunk)
+        db.check("SELECT DISTINCT version, chunk FROM membership JOIN assignment USING (key, origin)",
+          Seq("version", "chunk"), for (v <- images.indices; c <- images(v)) yield (v, c))
+      }
+    }
+
     test(s"$algoName k=$k: total span agrees with DuckDB") {
       withLayout { (db, sub, a) =>
         db.check(s"SELECT SUM(span) AS total_span FROM ($spansSql)", Seq("total_span"),
@@ -63,6 +71,18 @@ class QueryOracleSpec extends AnyFunSuite {
       (0 until ds.tree.size).foreach { v =>
         db.check(s"SELECT key, origin FROM membership WHERE version = $v", Seq("key", "origin"),
           rows(qp.fullVersion(v)._1))
+      }
+    }
+  }
+
+  test("Q1 answers come back in (key, origin) order") {
+    withQueries { (db, qp) =>
+      (0 until ds.tree.size).foreach { v =>
+        db.check(
+          s"""SELECT ROW_NUMBER() OVER (ORDER BY key, origin) - 1 AS pos, key, origin
+             |FROM membership WHERE version = $v""".stripMargin,
+          Seq("pos", "key", "origin"),
+          rows(qp.fullVersion(v)._1).zipWithIndex.map { case ((key, origin), pos) => (pos, key, origin) })
       }
     }
   }
